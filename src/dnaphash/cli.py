@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad bases, mismatched
 hash shapes), 3 I/O or index-format error. File outputs are written to a
-temp file in the target directory and moved into place, so a failed run
-never leaves a partial artifact behind.
+temp file in the target directory, fsynced and moved into place, so a
+failed run never leaves a partial artifact behind.
 """
 
 from __future__ import annotations
@@ -79,35 +79,33 @@ def _strategy(args) -> SelectionStrategy:
 
 
 @contextlib.contextmanager
-def _atomic_text(path: str | None):
-    """Text sink that only appears at ``path`` when the writer succeeds."""
-    if path in (None, "-"):
+def _atomic_write(path: str | None, *, binary: bool = False):
+    """A sink whose content only appears at ``path`` when the writer succeeds.
+
+    The temp file is fsynced, renamed over ``path``, and then the directory
+    is fsynced, so after a crash ``path`` holds either its old content or
+    the whole new one. A text sink with no path (or ``-``) is stdout.
+    """
+    if not binary and path in (None, "-"):
         yield sys.stdout
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dnaphash-", suffix=".tmp")
     try:
-        with open(fd, "w", encoding="utf-8", newline="") as handle:
+        with open(fd, "wb") if binary else open(fd, "w", encoding="utf-8", newline="") as handle:
             yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-
-
-@contextlib.contextmanager
-def _atomic_binary(path: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dnaphash-", suffix=".tmp")
+    dir_fd = os.open(directory, os.O_RDONLY)
     try:
-        with open(fd, "wb") as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _read_sequences(paths: list[str], n_policy: str) -> list[Sequence]:
@@ -144,7 +142,7 @@ def cmd_index(args) -> int:
                             workers=workers)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    with _atomic_binary(args.output) as sink:
+    with _atomic_write(args.output, binary=True) as sink:
         save_index(index, sink)
     log.info("indexed %d records into %s", len(index), args.output)
     return EXIT_OK
@@ -204,10 +202,10 @@ def cmd_simulate(args) -> int:
     config = _simulation_config(args)
     workers = _resolve_workers(args.workers)
     hist = run_group(config, workers=workers, keep_pairs=args.per_pair is not None)
-    with _atomic_text(args.output) as sink:
+    with _atomic_write(args.output) as sink:
         write_histogram_csv(hist, sink)
     if args.per_pair is not None:
-        with _atomic_text(args.per_pair) as sink:
+        with _atomic_write(args.per_pair) as sink:
             write_pair_csv(hist, sink)
     return EXIT_OK
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import BinaryIO, Iterable
 
+import numpy as np
+
 from .errors import (
     BadMagic,
     ChecksumMismatch,
@@ -49,45 +51,83 @@ _CRC = struct.Struct("<I")
 _BUILD_CHUNK = 512
 
 
-@dataclass(frozen=True)
-class IndexRecord:
-    """One indexed entry: an id and the hash of its sequence."""
-
-    id: str
-    hash: PerceptualHash
-
-    @property
-    def source_len(self) -> int:
-        return self.hash.source_len
+def _pad_rows(rows: np.ndarray) -> np.ndarray:
+    """Zero-pad (N, nbytes) packed hashes to whole 8-byte words per row."""
+    padded = np.zeros((rows.shape[0], -(-rows.shape[1] // 8) * 8), dtype=np.uint8)
+    padded[:, :rows.shape[1]] = rows
+    return padded
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HashIndex:
-    """An ordered collection of records sharing one strategy and width."""
+    """Records sharing one strategy and width, held as columns.
+
+    Record i is ``ids[i]``, ``source_len[i]`` (bases that produced the
+    hash, 0 = unknown) and ``hashes[i]``: the packed hash bytes, most
+    significant bit first as in :class:`PerceptualHash`, followed by zero
+    bytes up to a multiple of 8, so ``hashes.view(np.uint64)`` is one row
+    of whole words per record at no cost. Ids must be non-empty and
+    unique, and every bit past the width must be zero.
+    """
 
     strategy: SelectionStrategy
-    records: tuple[IndexRecord, ...]
+    ids: tuple[str, ...]
+    source_len: np.ndarray  # uint32[N]
+    hashes: np.ndarray  # uint8[N, 8 * ceil(nbytes / 8)]
 
     def __post_init__(self):
-        seen = set()
-        for rec in self.records:
-            if not rec.id:
-                raise ValueError("record ids cannot be empty")
-            if rec.id in seen:
-                raise DuplicateId(f"duplicate record id {rec.id!r}")
-            seen.add(rec.id)
-            if rec.hash.strategy != self.strategy:
+        ids = tuple(self.ids)
+        source_len = np.ascontiguousarray(self.source_len, dtype=np.uint32)
+        hashes = np.ascontiguousarray(self.hashes, dtype=np.uint8)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "source_len", source_len)
+        object.__setattr__(self, "hashes", hashes)
+
+        nbytes = (self.width + 7) // 8
+        row_bytes = -(-nbytes // 8) * 8
+        if source_len.shape != (len(ids),) or hashes.shape != (len(ids), row_bytes):
+            raise ValueError(
+                f"{len(ids)} ids need source_len of shape ({len(ids)},) and hashes of shape "
+                f"({len(ids)}, {row_bytes}); got {source_len.shape} and {hashes.shape}"
+            )
+        if "" in ids:
+            raise ValueError("record ids cannot be empty")
+        if len(set(ids)) != len(ids):
+            seen = set()
+            for rid in ids:
+                if rid in seen:
+                    raise DuplicateId(f"duplicate record id {rid!r}")
+                seen.add(rid)
+        pad_mask = (1 << (nbytes * 8 - self.width)) - 1
+        if np.any(hashes[:, nbytes - 1] & pad_mask) or np.any(hashes[:, nbytes:]):
+            raise ValueError("trailing padding bits must be zero")
+
+    @classmethod
+    def from_hashes(cls, strategy: SelectionStrategy, ids: Iterable[str],
+                    hashes: Iterable[PerceptualHash]) -> "HashIndex":
+        """Stack per-record hashes into columns, in the order given."""
+        ids, hashes = tuple(ids), list(hashes)
+        for rid, h in zip(ids, hashes):
+            if h.strategy != strategy:
                 raise StrategyMismatch(
-                    f"record {rec.id!r} was hashed with {rec.hash.strategy}, "
-                    f"index uses {self.strategy}"
+                    f"record {rid!r} was hashed with {h.strategy}, index uses {strategy}"
                 )
+        nbytes = (strategy.k + 7) // 8
+        rows = np.frombuffer(b"".join(h.data for h in hashes), dtype=np.uint8)
+        return cls(
+            strategy=strategy,
+            ids=ids,
+            source_len=np.fromiter((h.source_len for h in hashes), dtype=np.uint32,
+                                   count=len(hashes)),
+            hashes=_pad_rows(rows.reshape(len(hashes), nbytes)),
+        )
 
     @property
     def width(self) -> int:
         return self.strategy.k
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
 
 def expand_windows(seqs: Iterable[Sequence], window: int, step: int) -> Iterable[Sequence]:
@@ -142,10 +182,7 @@ def build_index(
     else:
         hashes = _hash_chunk(items, strategy)
 
-    records = tuple(
-        IndexRecord(id=s.id, hash=h) for s, h in zip(items, hashes)
-    )
-    return HashIndex(strategy=strategy, records=records)
+    return HashIndex.from_hashes(strategy, (s.id for s in items), hashes)
 
 
 def _check_compatible(index: HashIndex, probe: PerceptualHash) -> None:
@@ -159,12 +196,19 @@ def _check_compatible(index: HashIndex, probe: PerceptualHash) -> None:
         )
 
 
-def _scan(index: HashIndex, probe: PerceptualHash) -> list[tuple[str, int]]:
-    q = int.from_bytes(probe.data, "big")
-    return [
-        (rec.id, (q ^ int.from_bytes(rec.hash.data, "big")).bit_count())
-        for rec in index.records
-    ]
+def _distances(index: HashIndex, probe: PerceptualHash) -> np.ndarray:
+    """Hamming distance from a compatible ``probe`` to every record, as uint64[N]."""
+    q = np.zeros(index.hashes.shape[1], dtype=np.uint8)
+    q[:len(probe.data)] = np.frombuffer(probe.data, dtype=np.uint8)
+    words = index.hashes.view(np.uint64)
+    return np.bitwise_count(words ^ q.view(np.uint64)).sum(axis=1)
+
+
+def _ranked(index: HashIndex, rows: np.ndarray, dist: np.ndarray) -> list[tuple[str, int]]:
+    """(id, distance) for the given rows, closest first, ties by id."""
+    ids = index.ids
+    pairs = sorted(zip(dist[rows].tolist(), [ids[i] for i in rows.tolist()]))
+    return [(rid, d) for d, rid in pairs]
 
 
 def query(index: HashIndex, probe: PerceptualHash, max_dist: int) -> list[tuple[str, int]]:
@@ -172,43 +216,47 @@ def query(index: HashIndex, probe: PerceptualHash, max_dist: int) -> list[tuple[
     _check_compatible(index, probe)
     if not 0 <= max_dist <= index.width:
         raise ValueError(f"max_dist must be within 0..{index.width}, got {max_dist}")
-    hits = [(rid, d) for rid, d in _scan(index, probe) if d <= max_dist]
-    hits.sort(key=lambda pair: (pair[1], pair[0]))
-    return hits
+    dist = _distances(index, probe)
+    return _ranked(index, np.flatnonzero(dist <= max_dist), dist)
 
 
 def query_topk(index: HashIndex, probe: PerceptualHash, k: int) -> list[tuple[str, int]]:
     """The k nearest (id, distance) pairs, closest first, ties by id."""
     _check_compatible(index, probe)
-    if not 1 <= k <= len(index.records):
-        raise KOutOfRange(f"k must be within 1..{len(index.records)}, got {k}")
-    hits = _scan(index, probe)
-    hits.sort(key=lambda pair: (pair[1], pair[0]))
-    return hits[:k]
+    if not 1 <= k <= len(index):
+        raise KOutOfRange(f"k must be within 1..{len(index)}, got {k}")
+    dist = _distances(index, probe)
+    # Every record at the kth distance is a candidate, so the id tie-break
+    # picks among all of them, exactly as a full sort would.
+    kth = np.partition(dist, k - 1)[k - 1]
+    return _ranked(index, np.flatnonzero(dist <= kth), dist)[:k]
 
 
 def index_bytes(index: HashIndex) -> bytes:
     """Serialize an index to its binary file format."""
-    buf = bytearray(
-        _HEADER.pack(
-            MAGIC,
-            FORMAT_VERSION,
-            index.width,
-            STRATEGY_KINDS.index(index.strategy.kind),
-            0,
-            len(index.records),
-        )
+    nbytes = (index.width + 7) // 8
+    header = _HEADER.pack(
+        MAGIC,
+        FORMAT_VERSION,
+        index.width,
+        STRATEGY_KINDS.index(index.strategy.kind),
+        0,
+        len(index),
     )
-    for rec in index.records:
-        ident = rec.id.encode("utf-8")
+    # Each record's fixed-size tail: source length (u32 LE), then the hash.
+    tails = np.hstack([
+        index.source_len.astype("<u4").view(np.uint8).reshape(-1, _SOURCE_LEN.size),
+        index.hashes[:, :nbytes],
+    ]).tobytes()
+    tail_size = _SOURCE_LEN.size + nbytes
+    parts = [header]
+    for i, rid in enumerate(index.ids):
+        ident = rid.encode("utf-8")
         if len(ident) > 0xFFFF:
-            raise ValueError(f"record id {rec.id[:32]!r}... is too long to serialize")
-        buf += _ID_LEN.pack(len(ident))
-        buf += ident
-        buf += _SOURCE_LEN.pack(rec.source_len)
-        buf += rec.hash.data
-    buf += _CRC.pack(zlib.crc32(bytes(buf)))
-    return bytes(buf)
+            raise ValueError(f"record id {rid[:32]!r}... is too long to serialize")
+        parts.append(_ID_LEN.pack(len(ident)) + ident + tails[i * tail_size:(i + 1) * tail_size])
+    body = b"".join(parts)
+    return body + _CRC.pack(zlib.crc32(body))
 
 
 def save_index(index: HashIndex, sink: BinaryIO) -> None:
@@ -219,8 +267,10 @@ def save_index(index: HashIndex, sink: BinaryIO) -> None:
 def load_index(source: BinaryIO) -> HashIndex:
     """Read an index back; the inverse of :func:`save_index`.
 
-    Raises BadMagic, UnsupportedVersion, TruncatedFile or ChecksumMismatch
-    when the bytes cannot be decoded.
+    Raises an :class:`IndexFormatError` (BadMagic, UnsupportedVersion,
+    TruncatedFile, ChecksumMismatch, or the base class for records that do
+    not form a valid index: ids that are empty, repeated or not UTF-8, and
+    nonzero padding bits) when the bytes cannot be decoded.
     """
     data = source.read()
     if len(data) < _HEADER.size + _CRC.size:
@@ -232,23 +282,22 @@ def load_index(source: BinaryIO) -> HashIndex:
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(f"index format version {version} is not supported")
 
+    # Only the variable-length ids need a walk; the fixed-size fields are
+    # gathered afterwards from the record start offsets.
     nbytes = (width + 7) // 8
+    fixed = _ID_LEN.size + _SOURCE_LEN.size + nbytes
     payload_end = len(data) - _CRC.size
+    starts, id_lens = [], []
     offset = _HEADER.size
-    raw_records: list[tuple[bytes, int, bytes]] = []
     for _ in range(count):
         if offset + _ID_LEN.size > payload_end:
             raise TruncatedFile("file ends inside a record id length")
-        (id_len,) = _ID_LEN.unpack_from(data, offset)
-        offset += _ID_LEN.size
-        if offset + id_len + _SOURCE_LEN.size + nbytes > payload_end:
+        id_len = data[offset] | data[offset + 1] << 8
+        starts.append(offset)
+        id_lens.append(id_len)
+        offset += fixed + id_len
+        if offset > payload_end:
             raise TruncatedFile("file ends inside a record")
-        ident = data[offset:offset + id_len]
-        offset += id_len
-        (source_len,) = _SOURCE_LEN.unpack_from(data, offset)
-        offset += _SOURCE_LEN.size
-        raw_records.append((ident, source_len, data[offset:offset + nbytes]))
-        offset += nbytes
     if offset != payload_end:
         raise TruncatedFile(f"{payload_end - offset} unexpected bytes after the last record")
 
@@ -265,14 +314,17 @@ def load_index(source: BinaryIO) -> HashIndex:
     except ValueError as exc:
         raise UnsupportedVersion(f"header does not decode to a known strategy: {exc}") from None
 
-    records = []
-    for ident, source_len, payload in raw_records:
-        try:
-            rid = ident.decode("utf-8")
-        except UnicodeDecodeError:
-            raise IndexFormatError("record id is not valid UTF-8") from None
-        records.append(
-            IndexRecord(id=rid, hash=PerceptualHash(data=payload, strategy=strategy,
-                                                    source_len=source_len))
-        )
-    return HashIndex(strategy=strategy, records=tuple(records))
+    try:
+        ids = [data[s + _ID_LEN.size:s + _ID_LEN.size + n].decode("utf-8")
+               for s, n in zip(starts, id_lens)]
+    except UnicodeDecodeError:
+        raise IndexFormatError("record id is not valid UTF-8") from None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    tail = np.array(starts, dtype=np.int64) + np.array(id_lens, dtype=np.int64) + _ID_LEN.size
+    source_len = raw[tail[:, None] + np.arange(_SOURCE_LEN.size)].view("<u4").reshape(-1)
+    rows = raw[tail[:, None] + np.arange(_SOURCE_LEN.size, _SOURCE_LEN.size + nbytes)]
+    try:
+        return HashIndex(strategy=strategy, ids=ids, source_len=source_len,
+                         hashes=_pad_rows(rows))
+    except (ValueError, DuplicateId) as exc:
+        raise IndexFormatError(f"index records are invalid: {exc}") from None

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.fft
 
 # Below this side length a cached basis-matrix multiply beats FFT setup
 # overhead; above it the O(N log N) FFT kernels win.
@@ -65,6 +64,8 @@ def dct2(m) -> np.ndarray:
         t = _basis(n)
         coeffs = t @ residual @ t.T
     else:
+        import scipy.fft  # imported here: it dominates start-up, and small sides never need it
+
         coeffs = scipy.fft.dctn(residual, type=2, norm="ortho", axes=(-2, -1))
     coeffs[..., 0, 0] += anchor[..., 0, 0] * n
     return coeffs
@@ -77,6 +78,8 @@ def idct2(c) -> np.ndarray:
     if n <= _DIRECT_LIMIT:
         t = _basis(n)
         return t.T @ a @ t
+    import scipy.fft
+
     return scipy.fft.idctn(a, type=2, norm="ortho", axes=(-2, -1))
 
 

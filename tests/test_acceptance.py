@@ -28,7 +28,6 @@ from dnaphash import (
     BadMagic,
     ChecksumMismatch,
     HashIndex,
-    IndexRecord,
     PerceptualHash,
     SelectionStrategy,
     Sequence,
@@ -287,11 +286,10 @@ def test_07_query_exactness():
         strat = choices[instance % len(choices)]
         count = 10_000 if instance < 2 else int(rng.integers(50, 1500))
         raw = rng.integers(0, 2, size=(count, strat.k), dtype=np.uint8)
-        records = tuple(
-            IndexRecord(f"r{i}", PerceptualHash.from_bits(row, strat))
-            for i, row in enumerate(raw)
+        index = HashIndex.from_hashes(
+            strat, (f"r{i}" for i in range(count)),
+            (PerceptualHash.from_bits(row, strat) for row in raw),
         )
-        index = HashIndex(strat, records)
         probe = PerceptualHash.from_bits(rng.integers(0, 2, size=strat.k), strat)
 
         probe_bits = np.unpackbits(np.frombuffer(probe.data, np.uint8))[: strat.k]
@@ -316,6 +314,14 @@ def test_07_query_exactness():
              f"brute-force scans exactly ({failures} failures, {elapsed:.1f} s)")
 
 
+def _records(index):
+    """Every record as an (id, PerceptualHash) pair, in index order."""
+    nbytes = (index.width + 7) // 8
+    return [(rid, PerceptualHash(data=index.hashes[i, :nbytes].tobytes(), strategy=index.strategy,
+                                 source_len=int(index.source_len[i])))
+            for i, rid in enumerate(index.ids)]
+
+
 def test_08_index_format(tmp_path):
     rng = np.random.default_rng(808)
     strat = SelectionStrategy("zigzag", 32)
@@ -329,7 +335,7 @@ def test_08_index_format(tmp_path):
     with open(path, "rb") as fh:
         loaded = load_index(fh)
     second = index_bytes(loaded)
-    round_ok = second == path.read_bytes() and loaded.records == index.records
+    round_ok = second == path.read_bytes() and _records(loaded) == _records(index)
 
     blob = bytearray(index_bytes(index))
     blob[0] ^= 0xFF

@@ -2,13 +2,16 @@
 
 import io
 import os
+import stat
+import struct
 import subprocess
 import sys
+import zlib
 
 import pytest
 
 from dnaphash import SelectionStrategy, Sequence, compute_hash
-from dnaphash.cli import _atomic_text, main
+from dnaphash.cli import _atomic_write, main
 
 pytestmark = pytest.mark.usefixtures("clean_workers_env")
 
@@ -143,6 +146,29 @@ class TestIndexAndQuery:
         assert run_cli("query", str(idx), corpus, "--max-dist", "0") == 3
         assert "CRC" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["padding", "empty_id", "duplicate_id"])
+    def test_invalid_records_exit_3(self, corpus, tmp_path, capsys, damage):
+        # CRC-valid files whose records do not form an index
+        idx = tmp_path / "c.dph"
+        run_cli("index", corpus, "-o", str(idx), "--width", "12", "--strategy", "zigzag")
+        blob = bytearray(idx.read_bytes())
+        if damage == "padding":
+            blob[-5] |= 0x01  # low bit of the last 12-bit hash's second byte
+        elif damage == "empty_id":
+            # the first record's id "g0" becomes an empty id plus 2 bytes of
+            # garbage; shorten the file to match so the walk stays aligned
+            at = blob.index(b"g0")
+            blob[at - 2:at] = struct.pack("<H", 0)
+            del blob[at:at + 2]
+        else:
+            at = blob.index(b"g1")
+            blob[at:at + 2] = b"g0"
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        idx.write_bytes(bytes(blob))
+        assert run_cli("query", str(idx), corpus, "--max-dist", "0") == 3
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "Traceback" not in err
+
     def test_not_an_index_exits_3(self, corpus, tmp_path):
         bogus = tmp_path / "bogus.dph"
         bogus.write_bytes(b"this is not an index file at all....")
@@ -268,7 +294,7 @@ class TestAtomicWrites:
     def test_failure_leaves_nothing(self, tmp_path):
         target = tmp_path / "out.csv"
         with pytest.raises(RuntimeError):
-            with _atomic_text(str(target)) as fh:
+            with _atomic_write(str(target)) as fh:
                 fh.write("partial")
                 raise RuntimeError("boom")
         assert not target.exists()
@@ -277,10 +303,31 @@ class TestAtomicWrites:
     def test_success_replaces_previous(self, tmp_path):
         target = tmp_path / "out.csv"
         target.write_text("old")
-        with _atomic_text(str(target)) as fh:
+        with _atomic_write(str(target)) as fh:
             fh.write("new")
         assert target.read_text() == "new"
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_fsync_then_rename_then_fsync_directory(self, tmp_path, monkeypatch, binary):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("rename")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        target = tmp_path / "out.bin"
+        with _atomic_write(str(target), binary=binary) as fh:
+            fh.write(b"data" if binary else "data")
+        assert events == ["fsync file", "rename", "fsync dir"]
+        assert target.read_bytes() == b"data"
 
     def test_simulate_failure_preserves_existing_file(self, tmp_path):
         out = tmp_path / "h.csv"

@@ -1,5 +1,6 @@
 """On-disk index round trips, corruption handling, and query correctness."""
 
+import io
 import logging
 import math
 import struct
@@ -7,13 +8,15 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnaphash import (
     BadMagic,
     ChecksumMismatch,
     DuplicateId,
     HashIndex,
-    IndexRecord,
+    IndexFormatError,
     KOutOfRange,
     PerceptualHash,
     SelectionStrategy,
@@ -47,6 +50,24 @@ def _random_index(n, strategy, seed=0, length=100):
     return build_index(_random_sequences(n, length, seed), strategy)
 
 
+def _index_of(strategy, pairs):
+    """An index holding the given (id, PerceptualHash) pairs, in order."""
+    ids, hashes = zip(*pairs)
+    return HashIndex.from_hashes(strategy, ids, hashes)
+
+
+def _hash_at(index, i):
+    """Record i of an index as a PerceptualHash (its source length included)."""
+    nbytes = (index.width + 7) // 8
+    return PerceptualHash(data=index.hashes[i, :nbytes].tobytes(), strategy=index.strategy,
+                          source_len=int(index.source_len[i]))
+
+
+def _records(index):
+    """Every record as an (id, PerceptualHash) pair, in index order."""
+    return [(rid, _hash_at(index, i)) for i, rid in enumerate(index.ids)]
+
+
 def _save(index, path):
     with open(path, "wb") as fh:
         save_index(index, fh)
@@ -62,10 +83,10 @@ class TestBuild:
         seqs = _random_sequences(20, 100)
         idx = build_index(seqs, ZIGZAG32)
         assert len(idx) == 20
-        for rec, seq in zip(idx.records, seqs):
-            assert rec.id == seq.id
-            assert rec.hash == compute_hash(seq, ZIGZAG32)
-            assert rec.source_len == 100
+        for (rid, h), seq in zip(_records(idx), seqs):
+            assert rid == seq.id
+            assert h == compute_hash(seq, ZIGZAG32)
+            assert h.source_len == 100
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -77,10 +98,10 @@ class TestBuild:
             build_index(seqs, ZIGZAG32)
 
     def test_mixed_strategy_records_rejected(self):
-        a = IndexRecord("a", PerceptualHash.from_bits([1] * 32, ZIGZAG32))
-        b = IndexRecord("b", PerceptualHash.from_bits([0] * 32, SelectionStrategy("zigzag_skip_dc", 32)))
+        a = ("a", PerceptualHash.from_bits([1] * 32, ZIGZAG32))
+        b = ("b", PerceptualHash.from_bits([0] * 32, SelectionStrategy("zigzag_skip_dc", 32)))
         with pytest.raises(StrategyMismatch):
-            HashIndex(ZIGZAG32, (a, b))
+            _index_of(ZIGZAG32, (a, b))
 
     def test_workers_match_serial(self):
         # enough inputs to span several dispatch chunks
@@ -92,7 +113,7 @@ class TestBuild:
     def test_mixed_lengths(self):
         seqs = [Sequence("a", "ACGT" * 30), Sequence("b", "GATTACA" * 40)]
         idx = build_index(seqs, ZIGZAG32)
-        assert [r.source_len for r in idx.records] == [120, 280]
+        assert idx.source_len.tolist() == [120, 280]
 
 
 class TestWindows:
@@ -145,19 +166,17 @@ class TestQuery:
             limit = int(rng.integers(0, 33))
             got = query(idx, probe, max_dist=limit)
             want = sorted(
-                ((hamming(r.hash, probe), r.id) for r in idx.records
-                 if hamming(r.hash, probe) <= limit),
+                ((hamming(h, probe), rid) for rid, h in _records(idx)
+                 if hamming(h, probe) <= limit),
             )
             assert [(d, i) for i, d in got] == [(d, i) for d, i in want]
 
     def test_results_sorted_by_distance_then_id(self):
         strat = SelectionStrategy("zigzag", 8)
         bits = [1, 0, 0, 0, 0, 0, 0, 0]
-        recs = tuple(
-            IndexRecord(name, PerceptualHash.from_bits(bits, strat))
-            for name in ("zeta", "alpha", "mid")
-        )
-        idx = HashIndex(strat, recs)
+        idx = _index_of(strat, [
+            (name, PerceptualHash.from_bits(bits, strat)) for name in ("zeta", "alpha", "mid")
+        ])
         probe = PerceptualHash.from_bits(bits, strat)
         assert [(i, d) for i, d in query(idx, probe, max_dist=8)] == [
             ("alpha", 0), ("mid", 0), ("zeta", 0)
@@ -165,13 +184,13 @@ class TestQuery:
 
     def test_self_query_distance_zero(self):
         idx = _random_index(50, BLOCK64, seed=2, length=256)
-        for rec in idx.records[:10]:
-            hits = query(idx, rec.hash, max_dist=0)
-            assert (rec.id, 0) in hits
+        for rid, h in _records(idx)[:10]:
+            hits = query(idx, h, max_dist=0)
+            assert (rid, 0) in hits
 
     def test_max_dist_validation(self):
         idx = _random_index(5, ZIGZAG32)
-        probe = idx.records[0].hash
+        probe = _hash_at(idx, 0)
         with pytest.raises(ValueError):
             query(idx, probe, max_dist=-1)
         with pytest.raises(ValueError):
@@ -197,12 +216,12 @@ class TestTopK:
         for k in (1, 3, 17, 200):
             probe = PerceptualHash.from_bits(rng.integers(0, 2, size=32), ZIGZAG32)
             got = query_topk(idx, probe, k=k)
-            want = sorted((hamming(r.hash, probe), r.id) for r in idx.records)[:k]
+            want = sorted((hamming(h, probe), rid) for rid, h in _records(idx))[:k]
             assert [(d, i) for i, d in got] == [(d, i) for d, i in want]
 
     def test_k_out_of_range(self):
         idx = _random_index(10, ZIGZAG32)
-        probe = idx.records[0].hash
+        probe = _hash_at(idx, 0)
         with pytest.raises(KOutOfRange):
             query_topk(idx, probe, k=0)
         with pytest.raises(KOutOfRange):
@@ -217,7 +236,7 @@ class TestSerialization:
         first = path.read_bytes()
         loaded = _load(path)
         assert loaded.strategy == idx.strategy
-        assert loaded.records == idx.records
+        assert _records(loaded) == _records(idx)
         path2 = tmp_path / "b.dph"
         _save(loaded, path2)
         assert path2.read_bytes() == first
@@ -230,17 +249,17 @@ class TestSerialization:
     def test_strategy_tags_round_trip(self, strategy, tmp_path):
         bits = [0] * strategy.k
         bits[0] = 1
-        rec = IndexRecord("only", PerceptualHash.from_bits(bits, strategy, source_len=123))
+        rec = ("only", PerceptualHash.from_bits(bits, strategy, source_len=123))
         path = tmp_path / "x.dph"
-        _save(HashIndex(strategy, (rec,)), path)
+        _save(_index_of(strategy, [rec]), path)
         loaded = _load(path)
         assert loaded.strategy == strategy
-        assert loaded.records[0].hash.source_len == 123
+        assert _hash_at(loaded, 0).source_len == 123
 
     def test_size_accounting(self):
         idx = _random_index(7, ZIGZAG32, seed=9)
         blob = index_bytes(idx)
-        per_record = sum(2 + len(r.id.encode()) + 4 + math.ceil(32 / 8) for r in idx.records)
+        per_record = sum(2 + len(rid.encode()) + 4 + math.ceil(32 / 8) for rid in idx.ids)
         assert len(blob) == 18 + per_record + 4
 
     def test_header_fields(self):
@@ -260,12 +279,20 @@ class TestSerialization:
         body, crc = blob[:-4], struct.unpack("<I", blob[-4:])[0]
         assert crc == zlib.crc32(body)
 
+    def test_empty_index_round_trip(self):
+        # a file may declare zero records; it loads as an empty index
+        blob = struct.pack("<4sHHBBQ", b"DPH1", 1, 12, 1, 0, 0)
+        blob += struct.pack("<I", zlib.crc32(blob))
+        loaded = load_index(io.BytesIO(blob))
+        assert len(loaded) == 0 and loaded.strategy == SelectionStrategy("zigzag", 12)
+        assert index_bytes(loaded) == blob
+
     def test_unicode_ids(self, tmp_path):
         strat = SelectionStrategy("zigzag", 8)
-        rec = IndexRecord("séq·Δ1", PerceptualHash.from_bits([1] * 8, strat))
+        rec = ("séq·Δ1", PerceptualHash.from_bits([1] * 8, strat))
         path = tmp_path / "u.dph"
-        _save(HashIndex(strat, (rec,)), path)
-        assert _load(path).records[0].id == "séq·Δ1"
+        _save(_index_of(strat, [rec]), path)
+        assert _load(path).ids[0] == "séq·Δ1"
 
 
 class TestCorruption:
@@ -321,3 +348,98 @@ class TestCorruption:
     def test_empty_file(self, tmp_path):
         with pytest.raises(TruncatedFile):
             self._parse(b"", tmp_path)
+
+    def _fix_crc(self, blob):
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        return blob
+
+    def test_nonzero_padding_bits_rejected(self, tmp_path):
+        # 12-bit hashes leave the low 4 bits of each record's second byte as
+        # padding; the last record's hash ends just before the CRC.
+        blob = bytearray(index_bytes(_random_index(5, SelectionStrategy("zigzag", 12), seed=13)))
+        blob[-5] |= 0x01
+        with pytest.raises(IndexFormatError, match="padding"):
+            self._parse(self._fix_crc(blob), tmp_path)
+
+    def test_empty_id_rejected(self, tmp_path):
+        # one zigzag-8 record with a zero-length id, written field by field
+        blob = bytearray(struct.pack("<4sHHBBQ", b"DPH1", 1, 8, 1, 0, 1))
+        blob += struct.pack("<H", 0) + struct.pack("<I", 16) + bytes([0x80])
+        blob += b"\0\0\0\0"
+        with pytest.raises(IndexFormatError, match="empty"):
+            self._parse(self._fix_crc(blob), tmp_path)
+
+    def test_duplicate_ids_rejected(self, tmp_path):
+        seqs = [Sequence("a1", "ACGT" * 25), Sequence("a2", "TTGA" * 25)]
+        blob = bytearray(index_bytes(build_index(seqs, ZIGZAG32)))
+        at = blob.index(b"a2")
+        blob[at:at + 2] = b"a1"
+        with pytest.raises(IndexFormatError, match="duplicate"):
+            self._parse(self._fix_crc(blob), tmp_path)
+
+    def test_fuzzed_files_raise_only_format_errors(self):
+        # Byte flips, with the CRC repaired half of the time so that the
+        # record decoding is reached, plus truncations; a mix of widths so
+        # that padding bits exist. Anything but IndexFormatError escapes.
+        seeds = [index_bytes(_random_index(6, strat, seed=14, length=256)) for strat in
+                 (ZIGZAG32, SelectionStrategy("zigzag", 12), SelectionStrategy("block", 100),
+                  SelectionStrategy("zigzag_skip_dc", 1))]
+        rng = np.random.default_rng(15)
+        outcomes = {"loaded": 0, "rejected": 0}
+        for case in range(2000):
+            blob = bytearray(seeds[case % len(seeds)])
+            for _ in range(int(rng.integers(1, 4))):
+                blob[int(rng.integers(0, len(blob) - 4))] ^= int(rng.integers(1, 256))
+            if rng.random() < 0.5:
+                self._fix_crc(blob)
+            if rng.random() < 0.2:
+                blob = blob[:int(rng.integers(0, len(blob)))]
+            try:
+                load_index(io.BytesIO(bytes(blob)))
+                outcomes["loaded"] += 1
+            except IndexFormatError:
+                outcomes["rejected"] += 1
+        assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0
+
+
+_POOL_STRATEGIES = [SelectionStrategy("zigzag", k) for k in (1, 12, 32, 100, 256)] + \
+                   [SelectionStrategy("block", k) for k in (64, 100, 256)]
+
+
+@st.composite
+def _index_and_probe(draw):
+    """A random index drawn from a small pool of hashes (so that distances
+    tie), one probe, and the pool's strategy."""
+    strat = draw(st.sampled_from(_POOL_STRATEGIES))
+    bits = st.integers(0, 2 ** strat.k - 1).map(
+        lambda v: [(v >> (strat.k - 1 - i)) & 1 for i in range(strat.k)])
+    pool = draw(st.lists(bits, min_size=1, max_size=4))
+    n = draw(st.integers(1, 40))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    ids = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3), min_size=n, max_size=n,
+                        unique=True))
+    hashes = [PerceptualHash.from_bits(pool[p], strat, source_len=int(p) * 7) for p in picks]
+    probe = PerceptualHash.from_bits(draw(st.one_of(st.sampled_from(pool), bits)), strat)
+    return _index_of(strat, zip(ids, hashes)), probe
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_index_and_probe(), st.data())
+    def test_queries_equal_brute_force(self, index_probe, data):
+        idx, probe = index_probe
+        brute = sorted((hamming(h, probe), rid) for rid, h in _records(idx))
+        k = data.draw(st.integers(1, len(idx)))
+        assert query_topk(idx, probe, k) == [(rid, d) for d, rid in brute[:k]]
+        limit = data.draw(st.integers(0, idx.width))
+        assert query(idx, probe, limit) == [(rid, d) for d, rid in brute if d <= limit]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_index_and_probe())
+    def test_save_load_save_byte_identical(self, index_probe):
+        idx, _ = index_probe
+        blob = index_bytes(idx)
+        loaded = load_index(io.BytesIO(blob))
+        assert loaded.strategy == idx.strategy
+        assert _records(loaded) == _records(idx)
+        assert index_bytes(loaded) == blob
