@@ -15,9 +15,9 @@ from functools import partial
 
 import numpy as np
 
-from .hashing import SelectionStrategy, hash_matrix_stack
+from .hashing import SelectionStrategy, hash_codes
 from .sequence import MIN_LENGTH, matrix_dim
-from .simulate import _matrices_from_codes, sequence_rng
+from .simulate import sequence_rng
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,12 @@ class BenchReport:
         return self.generation_seconds / total if total else 0.0
 
 
-def _hash_codes_chunk(codes: np.ndarray, strategy: SelectionStrategy,
-                      dim: int) -> tuple[int, int]:
-    bits = hash_matrix_stack(_matrices_from_codes(codes, dim), strategy)
-    return codes.shape[0], int(bits.sum())
-
-
 def run_bench(*, seq_len: int = 100, strategy: SelectionStrategy | None = None,
               n: int = 100_000, seed: int = 0, workers: int = 1) -> BenchReport:
     """Generate ``n`` random sequences, hash them all, time both phases.
 
-    Generation draws every base from one seeded stream; hashing runs the
-    batched pipeline in chunks (optionally across processes).
+    Generation draws every base from one seeded stream; hashing is one
+    :func:`hash_codes` call, or one per chunk across ``workers`` processes.
     """
     if seq_len < MIN_LENGTH:
         raise ValueError(f"seq_len must be at least {MIN_LENGTH}")
@@ -74,19 +68,16 @@ def run_bench(*, seq_len: int = 100, strategy: SelectionStrategy | None = None,
     generation_seconds = time.perf_counter() - t0
 
     chunk = max(64, min(8192, 6_000_000 // (dim * dim)))
-    chunks = [codes[s:s + chunk] for s in range(0, n, chunk)]
-    worker = partial(_hash_codes_chunk, strategy=strategy, dim=dim)
-
     t0 = time.perf_counter()
-    if workers > 1 and len(chunks) > 1:
+    if workers > 1 and n > chunk:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, chunks))
+            parts = pool.map(partial(hash_codes, strategy=strategy),
+                             [codes[s:s + chunk] for s in range(0, n, chunk)])
+            packed = np.concatenate(list(parts))
     else:
-        results = [worker(c) for c in chunks]
+        packed = hash_codes(codes, strategy)
     hashing_seconds = time.perf_counter() - t0
 
-    hashed = sum(r[0] for r in results)
-    assert hashed == n
     return BenchReport(
         n=n,
         seq_len=seq_len,
@@ -94,5 +85,5 @@ def run_bench(*, seq_len: int = 100, strategy: SelectionStrategy | None = None,
         workers=workers,
         generation_seconds=generation_seconds,
         hashing_seconds=hashing_seconds,
-        bits_set=sum(r[1] for r in results),
+        bits_set=int(np.bitwise_count(packed).sum()),
     )

@@ -17,8 +17,8 @@ import sys
 import tempfile
 
 from .bench import run_bench
-from .errors import DataError, IndexFormatError, StrategyTooLarge
-from .hashing import STRATEGY_KINDS, SelectionStrategy, compute_hash
+from .errors import DataError, IndexFormatError
+from .hashing import STRATEGY_KINDS, PerceptualHash, SelectionStrategy, _hash_records
 from .index import build_index, load_index, query, query_topk, save_index
 from .sequence import Sequence, parse_fasta
 from .simulate import (
@@ -82,16 +82,20 @@ def _strategy(args) -> SelectionStrategy:
 def _atomic_write(path: str | None, *, binary: bool = False):
     """A sink whose content only appears at ``path`` when the writer succeeds.
 
-    The temp file is fsynced, renamed over ``path``, and then the directory
-    is fsynced, so after a crash ``path`` holds either its old content or
-    the whole new one. A text sink with no path (or ``-``) is stdout.
+    The temp file takes a new file's mode (0666 less the umask), is fsynced,
+    renamed over ``path``, and then the directory is fsynced, so after a
+    crash ``path`` holds either its old content or the whole new one. No
+    path, or ``-``, is stdout.
     """
-    if not binary and path in (None, "-"):
-        yield sys.stdout
+    if path in (None, "-"):
+        yield sys.stdout.buffer if binary else sys.stdout
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dnaphash-", suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with open(fd, "wb") if binary else open(fd, "w", encoding="utf-8", newline="") as handle:
             yield handle
             handle.flush()
@@ -122,12 +126,10 @@ def _read_sequences(paths: list[str], n_policy: str) -> list[Sequence]:
 def cmd_hash(args) -> int:
     strategy = _strategy(args)
     seqs = _read_sequences(args.fasta, args.n_policy)
-    for seq in seqs:
-        try:
-            digest = compute_hash(seq, strategy)
-        except StrategyTooLarge as exc:
-            raise StrategyTooLarge(f"record {seq.id!r}: {exc}") from None
-        print(f"{seq.id}\t{digest.to_hex()}")
+    rows = _hash_records(seqs, strategy)
+    digits = (strategy.k + 3) // 4
+    sys.stdout.writelines(f"{seq.id}\t{row.tobytes().hex()[:digits]}\n"
+                          for seq, row in zip(seqs, rows))
     return EXIT_OK
 
 
@@ -152,11 +154,9 @@ def cmd_query(args) -> int:
     with open(args.index, "rb") as handle:
         index = load_index(handle)
     seqs = _read_sequences([args.fasta], args.n_policy)
-    for seq in seqs:
-        try:
-            probe = compute_hash(seq, index.strategy)
-        except StrategyTooLarge as exc:
-            raise StrategyTooLarge(f"record {seq.id!r}: {exc}") from None
+    rows = _hash_records(seqs, index.strategy)
+    for seq, row in zip(seqs, rows):
+        probe = PerceptualHash(row.tobytes(), index.strategy, source_len=len(seq))
         if args.top_k is not None:
             hits = query_topk(index, probe, args.top_k)
         else:

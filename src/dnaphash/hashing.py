@@ -12,11 +12,12 @@ of zero to exactly zero. Pixel matrices hold integers, and their symmetric
 cancellations produce coefficients that are mathematically zero far more
 often than continuous inputs would (roughly one cell per six 4x4 layouts);
 a float transform renders those as noise of arbitrary sign, which would
-make the affected bits depend on the FFT kernel and platform. Snapping
-them to zero applies the sign rule's zero branch the way exact arithmetic
-would. The band is safe on both sides: transform noise stays below ~1e-10
-through dim 100 while the smallest genuinely nonzero coefficient observed
-for integer layouts is ~1e-4.
+make the affected bits depend on the kernel and platform. Snapping them
+to zero applies the sign rule's zero branch the way exact arithmetic
+would. The band is safe on both sides: on constant matrices, the noise of
+:func:`hash_codes` stays below 6e-11 through dim 100 and below 5e-10
+through dim 3163 (10 Mbp), while the smallest genuinely nonzero
+coefficient observed for integer layouts is ~1e-4.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import StrategyMismatch, StrategyTooLarge, WidthMismatch
-from .sequence import Sequence, layout_matrix
-from .transform import dct2
+from .errors import SequenceTooShort, StrategyMismatch, StrategyTooLarge, WidthMismatch
+from .sequence import CODE_TO_INTENSITY, MIN_LENGTH, Sequence, codes_from_bases, matrix_dim
+from .transform import basis_rows
 
 STRATEGY_KINDS = ("block", "zigzag", "zigzag_skip_dc")
 
@@ -39,6 +40,9 @@ MAX_WIDTH = 4096
 #: Coefficients within this band of zero are treated as exactly zero (see
 #: the module docstring for why, and for the measured safety margins).
 ZERO_TOL = 1e-7
+
+#: Float cells (2 MiB) one :func:`hash_codes` chunk may hold: a fixed bound.
+_WORKSPACE_CELLS = 1 << 18
 
 
 @lru_cache(maxsize=None)
@@ -98,15 +102,15 @@ class SelectionStrategy:
         return zigzag_positions(dim)[skip:skip + self.k]
 
 
-@lru_cache(maxsize=None)
-def _selection_arrays(strategy: SelectionStrategy, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column index vectors for fancy-indexing a sign matrix."""
+@lru_cache(maxsize=256)
+def _selection_arrays(strategy: SelectionStrategy, dim: int):
+    """Selected rows/columns as index vectors, and the basis factors T[:r], T[:c].T."""
     pos = strategy.positions(dim)
     rows = np.fromiter((p[0] for p in pos), dtype=np.intp, count=len(pos))
     cols = np.fromiter((p[1] for p in pos), dtype=np.intp, count=len(pos))
     rows.flags.writeable = False
     cols.flags.writeable = False
-    return rows, cols
+    return rows, cols, basis_rows(dim, rows.max() + 1), basis_rows(dim, cols.max() + 1).T
 
 
 @dataclass(frozen=True)
@@ -202,36 +206,69 @@ def select_bits(signs: np.ndarray, strategy: SelectionStrategy, *, source_len: i
     s = np.asarray(signs)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square sign matrix, got shape {s.shape}")
-    rows, cols = _selection_arrays(strategy, s.shape[0])
+    rows, cols, _, _ = _selection_arrays(strategy, s.shape[0])
     bits = s[rows, cols].astype(np.uint8)
     return PerceptualHash(
         data=np.packbits(bits).tobytes(), strategy=strategy, source_len=source_len
     )
 
 
-def compute_hash(seq: Sequence, strategy: SelectionStrategy) -> PerceptualHash:
-    """Hash one sequence: pixel layout -> DCT -> sign map -> selected bits."""
-    matrix = layout_matrix(seq)
-    return select_bits(
-        sign_map(snap_zeros(dct2(matrix))), strategy, source_len=matrix.payload_len
-    )
+def hash_codes(codes, strategy: SelectionStrategy) -> np.ndarray:
+    """Packed hashes of (B, L) base codes (0..3 for A, T, C, G), as (B, ceil(k / 8)) rows.
 
-
-def hash_matrix_stack(matrices: np.ndarray, strategy: SelectionStrategy) -> np.ndarray:
-    """Sign bits for a (B, N, N) stack of pixel matrices, as (B, k) uint8 rows.
-
-    Row b holds the same bits, in the same selection order, that
-    :func:`compute_hash` would produce for matrix b; packing a row with
-    ``np.packbits`` yields the same bytes. One fused transform over the
-    stack keeps per-sequence overhead out of bulk hashing.
+    Row b holds the bytes :func:`compute_hash` gives for ``codes[b]``. Only
+    the coefficients the selection reads are computed, as ``T[:r] @ M @
+    T[:c].T``, in chunks of at most ``_WORKSPACE_CELLS`` float cells.
     """
-    stack = np.asarray(matrices, dtype=np.float64)
-    if stack.ndim != 3 or stack.shape[-1] != stack.shape[-2]:
-        raise ValueError(f"expected a (B, N, N) stack, got shape {stack.shape}")
-    rows, cols = _selection_arrays(strategy, stack.shape[-1])
-    selected = dct2(stack)[:, rows, cols]
-    # value > ZERO_TOL is exactly sign_map(snap_zeros(...)) at these cells
-    return (selected > ZERO_TOL).astype(np.uint8)
+    codes = np.asarray(codes, dtype=np.uint8)
+    if codes.ndim != 2:
+        raise ValueError(f"expected a (B, L) array of base codes, got shape {codes.shape}")
+    count, length = codes.shape
+    if length < MIN_LENGTH:
+        raise SequenceTooShort(f"{length} bp cannot fill a {MIN_LENGTH}-cell matrix")
+    if codes.max(initial=0) > 3:
+        raise ValueError("base codes must lie in 0..3")
+    dim = matrix_dim(length)
+    rows, cols, left, right = _selection_arrays(strategy, dim)
+    out = np.empty((count, (strategy.k + 7) // 8), dtype=np.uint8)
+    chunk = max(1, _WORKSPACE_CELLS // (dim * dim))
+    cells = np.zeros((min(chunk, count), dim * dim))  # pad cells stay 0
+    for start in range(0, count, chunk):
+        part = codes[start:start + chunk]
+        n = part.shape[0]
+        cells[:n, :length] = CODE_TO_INTENSITY[part]
+        coeffs = left @ cells[:n].reshape(n, dim, dim) @ right
+        out[start:start + n] = np.packbits(coeffs[:, rows, cols] > ZERO_TOL, axis=1)
+    return out
+
+
+def _hash_records(seqs: list[Sequence], strategy: SelectionStrategy) -> np.ndarray:
+    """:func:`hash_codes` rows for sequences of any lengths, in input order.
+
+    Raises :class:`StrategyTooLarge` naming the first record, in input
+    order, that the strategy does not fit.
+    """
+    groups: dict[int, list[int]] = {}  # in order of each length's first record
+    for i, seq in enumerate(seqs):
+        groups.setdefault(len(seq), []).append(i)
+    out = np.empty((len(seqs), (strategy.k + 7) // 8), dtype=np.uint8)
+    for length, members in groups.items():
+        try:
+            _selection_arrays(strategy, matrix_dim(length))
+        except StrategyTooLarge as exc:
+            raise StrategyTooLarge(f"record {seqs[members[0]].id!r}: {exc}") from None
+        step = max(1, _WORKSPACE_CELLS // matrix_dim(length) ** 2)
+        for start in range(0, len(members), step):
+            part = members[start:start + step]
+            codes = codes_from_bases("".join(seqs[i].bases for i in part))
+            out[part] = hash_codes(codes.reshape(len(part), length), strategy)
+    return out
+
+
+def compute_hash(seq: Sequence, strategy: SelectionStrategy) -> PerceptualHash:
+    """Hash one sequence: a one-row :func:`hash_codes` batch."""
+    row = hash_codes(codes_from_bases(seq.bases)[None], strategy)[0]
+    return PerceptualHash(data=row.tobytes(), strategy=strategy, source_len=len(seq))
 
 
 def hamming(a: PerceptualHash, b: PerceptualHash) -> int:

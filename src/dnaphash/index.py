@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedVersion,
     WidthMismatch,
 )
-from .hashing import PerceptualHash, SelectionStrategy, STRATEGY_KINDS, compute_hash
+from .hashing import PerceptualHash, SelectionStrategy, STRATEGY_KINDS, _hash_records
 from .sequence import MIN_LENGTH, Sequence
 
 log = logging.getLogger(__name__)
@@ -149,10 +149,6 @@ def expand_windows(seqs: Iterable[Sequence], window: int, step: int) -> Iterable
             yield Sequence(id=f"{seq.id}:{off}", bases=seq.bases[off:off + window])
 
 
-def _hash_chunk(seqs: list[Sequence], strategy: SelectionStrategy) -> list[PerceptualHash]:
-    return [compute_hash(s, strategy) for s in seqs]
-
-
 def build_index(
     seqs: Iterable[Sequence],
     strategy: SelectionStrategy,
@@ -175,14 +171,14 @@ def build_index(
 
     if workers > 1 and len(items) > _BUILD_CHUNK:
         chunks = [items[i:i + _BUILD_CHUNK] for i in range(0, len(items), _BUILD_CHUNK)]
-        hashes: list[PerceptualHash] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(partial(_hash_chunk, strategy=strategy), chunks):
-                hashes.extend(part)
+            rows = np.concatenate(list(pool.map(partial(_hash_records, strategy=strategy),
+                                                chunks)))
     else:
-        hashes = _hash_chunk(items, strategy)
+        rows = _hash_records(items, strategy)
 
-    return HashIndex.from_hashes(strategy, (s.id for s in items), hashes)
+    source_len = np.fromiter(map(len, items), dtype=np.uint32, count=len(items))
+    return HashIndex(strategy, tuple(s.id for s in items), source_len, _pad_rows(rows))
 
 
 def _check_compatible(index: HashIndex, probe: PerceptualHash) -> None:

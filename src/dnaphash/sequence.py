@@ -26,6 +26,10 @@ BASE_ORDER = "ATCG"
 BASE_TO_INTENSITY = {b: 64 * (i + 1) - 1 for i, b in enumerate(BASE_ORDER)}
 INTENSITY_TO_BASE = {v: k for k, v in BASE_TO_INTENSITY.items()}
 
+#: Gray intensity per base code; the one table every layout reads.
+CODE_TO_INTENSITY = np.array([BASE_TO_INTENSITY[b] for b in BASE_ORDER], dtype=np.uint8)
+CODE_TO_INTENSITY.flags.writeable = False
+
 #: Intensity used for cells past the end of the sequence.
 PAD_VALUE = 0
 
@@ -34,11 +38,9 @@ MIN_LENGTH = 4
 
 _VALID_BASES = frozenset(BASE_ORDER)
 
-# ASCII lookup tables so whole sequences encode without a Python loop.
-_ASCII_TO_INTENSITY = np.zeros(256, dtype=np.uint8)
+# ASCII lookup table so whole sequences encode without a Python loop.
 _ASCII_TO_CODE = np.full(256, 255, dtype=np.uint8)
 for _i, _b in enumerate(BASE_ORDER):
-    _ASCII_TO_INTENSITY[ord(_b)] = BASE_TO_INTENSITY[_b]
     _ASCII_TO_CODE[ord(_b)] = _i
 _CODE_TO_ASCII = np.frombuffer(BASE_ORDER.encode("ascii"), dtype=np.uint8)
 
@@ -136,7 +138,8 @@ def layout_matrix(seq: Sequence) -> PixelMatrix:
         raise SequenceTooShort(f"{n} bp cannot fill a {MIN_LENGTH}-cell matrix")
     dim = matrix_dim(n)
     flat = np.full(dim * dim, PAD_VALUE, dtype=np.uint8)
-    flat[:n] = _ASCII_TO_INTENSITY[np.frombuffer(seq.bases.encode("ascii"), dtype=np.uint8)]
+    codes = _ASCII_TO_CODE[np.frombuffer(seq.bases.encode("ascii"), dtype=np.uint8)]
+    flat[:n] = CODE_TO_INTENSITY[codes]
     cells = flat.reshape(dim, dim)
     cells.flags.writeable = False
     return PixelMatrix(cells=cells, payload_len=n)

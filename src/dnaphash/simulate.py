@@ -34,7 +34,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .errors import SequenceTooShort
-from .hashing import SelectionStrategy, hash_matrix_stack
+from .hashing import SelectionStrategy, hash_codes
 from .sequence import MIN_LENGTH, Sequence, bases_from_codes, codes_from_bases, matrix_dim
 
 #: Divergence rates shared by all preset groups.
@@ -191,18 +191,9 @@ class DistanceHistogram:
         return float((row * np.arange(row.size)).sum() / row.sum())
 
 
-def _matrices_from_codes(codes: np.ndarray, dim: int) -> np.ndarray:
-    """(B, L) base codes -> (B, dim, dim) float pixel matrices, zero-padded."""
-    count, length = codes.shape
-    flat = np.zeros((count, dim * dim), dtype=np.float64)
-    flat[:, :length] = codes * 64.0 + 63.0
-    return flat.reshape(count, dim, dim)
-
-
 def _simulate_chunk(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
     """Distances for ordinals [start, stop): a (stop-start, n_rates) array."""
     rates = config.divergence_rates
-    dim = matrix_dim(config.seq_len)
     count = stop - start
     streams = len(rates) + 1  # primary first, then one variant per rate
     codes = np.empty((count, streams, config.seq_len), dtype=np.uint8)
@@ -212,16 +203,13 @@ def _simulate_chunk(config: SimulationConfig, start: int, stop: int) -> np.ndarr
         codes[i, 0] = primary
         for j, rate in enumerate(rates, start=1):
             codes[i, j] = primary if rate == 0.0 else _mutate_codes(primary, rate, rng)
-    matrices = _matrices_from_codes(
-        codes.reshape(count * streams, config.seq_len), dim
-    )
-    bits = hash_matrix_stack(matrices, config.strategy)
-    bits = bits.reshape(count, streams, -1)
-    return (bits[:, 1:, :] != bits[:, :1, :]).sum(axis=2).astype(np.uint16)
+    packed = hash_codes(codes.reshape(count * streams, config.seq_len), config.strategy)
+    packed = packed.reshape(count, streams, -1)
+    return np.bitwise_count(packed[:, 1:] ^ packed[:, :1]).sum(axis=2, dtype=np.uint16)
 
 
 def _chunk_size(config: SimulationConfig) -> int:
-    # Cap the per-chunk float workspace around ~50 MB.
+    # Cap the per-chunk code array near 6 MB; hash_codes bounds its floats.
     streams = len(config.divergence_rates) + 1
     cells = matrix_dim(config.seq_len) ** 2
     return max(8, min(2048, 6_000_000 // (streams * cells)))

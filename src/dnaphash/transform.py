@@ -1,5 +1,7 @@
-"""Orthonormal 2D DCT-II: fast separable kernels plus a literal reference.
+"""Orthonormal 2D DCT-II by basis multiplication, plus a literal reference.
 
+The hashing kernel multiplies by :func:`basis_rows` itself, for just the
+coefficients it reads; :func:`dct2` and :func:`idct2` are its oracles.
 The forward transform anchors every matrix at its top-left cell before
 transforming and adds the anchor's analytically-known DC contribution back
 afterwards. A constant matrix then has an exactly-zero residual, so all of
@@ -12,31 +14,24 @@ results at the last-ulp level.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-# Below this side length a cached basis-matrix multiply beats FFT setup
-# overhead; above it the O(N log N) FFT kernels win.
-_DIRECT_LIMIT = 32
 
-_basis_cache: dict[int, np.ndarray] = {}
-
-
-def _basis(n: int) -> np.ndarray:
-    """Orthonormal DCT-II basis matrix.
+@lru_cache(maxsize=64)
+def basis_rows(n: int, count: int) -> np.ndarray:
+    """The first ``count`` rows of the orthonormal N-point DCT-II basis.
 
     Row k holds s(k) * cos((2x+1) k pi / 2N) with s(0) = sqrt(1/N) and
-    s(k>0) = sqrt(2/N), so the matrix is orthogonal: T @ T.T = I.
+    s(k>0) = sqrt(2/N); the full (N, N) matrix is orthogonal, T @ T.T = I.
     """
-    t = _basis_cache.get(n)
-    if t is None:
-        x = np.arange(n)
-        k = np.arange(n)[:, None]
-        t = np.cos((2 * x + 1) * k * np.pi / (2 * n))
-        t[0] *= math.sqrt(1.0 / n)
-        t[1:] *= math.sqrt(2.0 / n)
-        t.flags.writeable = False
-        _basis_cache[n] = t
+    x = np.arange(n)
+    k = np.arange(count)[:, None]
+    t = np.cos((2 * x + 1) * k * np.pi / (2 * n))
+    t[0] *= math.sqrt(1.0 / n)
+    t[1:] *= math.sqrt(2.0 / n)
+    t.flags.writeable = False
     return t
 
 
@@ -59,14 +54,8 @@ def dct2(m) -> np.ndarray:
     a = _as_square(m)
     n = a.shape[-1]
     anchor = a[..., :1, :1]
-    residual = a - anchor
-    if n <= _DIRECT_LIMIT:
-        t = _basis(n)
-        coeffs = t @ residual @ t.T
-    else:
-        import scipy.fft  # imported here: it dominates start-up, and small sides never need it
-
-        coeffs = scipy.fft.dctn(residual, type=2, norm="ortho", axes=(-2, -1))
+    t = basis_rows(n, n)
+    coeffs = t @ (a - anchor) @ t.T
     coeffs[..., 0, 0] += anchor[..., 0, 0] * n
     return coeffs
 
@@ -74,13 +63,8 @@ def dct2(m) -> np.ndarray:
 def idct2(c) -> np.ndarray:
     """Inverse of :func:`dct2` (orthonormal DCT-III, applied separably)."""
     a = _as_square(c)
-    n = a.shape[-1]
-    if n <= _DIRECT_LIMIT:
-        t = _basis(n)
-        return t.T @ a @ t
-    import scipy.fft
-
-    return scipy.fft.idctn(a, type=2, norm="ortho", axes=(-2, -1))
+    t = basis_rows(a.shape[-1], a.shape[-1])
+    return t.T @ a @ t
 
 
 def dct2_reference(m) -> np.ndarray:
@@ -89,7 +73,7 @@ def dct2_reference(m) -> np.ndarray:
     out[i, j] = s(i) s(j) * sum_x sum_y m[x, y]
                 * cos((2x+1) i pi / 2N) * cos((2y+1) j pi / 2N)
 
-    Kept deliberately naive and independent of the fast paths; intended
+    Kept deliberately naive and independent of the basis helper; intended
     for sides up to about 64.
     """
     a = _as_square(m)

@@ -6,11 +6,13 @@ import stat
 import struct
 import subprocess
 import sys
+import textwrap
 import zlib
 
 import pytest
 
-from dnaphash import SelectionStrategy, Sequence, compute_hash
+import dnaphash
+from dnaphash import SelectionStrategy, Sequence, compute_hash, load_index
 from dnaphash.cli import _atomic_write, main
 
 pytestmark = pytest.mark.usefixtures("clean_workers_env")
@@ -88,6 +90,13 @@ class TestHash:
         fa = write_fasta(tmp_path / "tiny.fa", [("t", "ACGTACGT")])
         assert run_cli("hash", "--width", "64", fa) == 2
         assert "t" in capsys.readouterr().err
+
+    def test_misfit_record_prints_nothing(self, tmp_path, capsys):
+        fa = write_fasta(tmp_path / "m.fa", [("ok", "ACGT" * 32), ("tiny", "ACGTACGT")])
+        assert run_cli("hash", "--width", "64", fa) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "record 'tiny':" in captured.err
 
     def test_missing_file_exits_3(self, tmp_path):
         assert run_cli("hash", str(tmp_path / "nope.fa")) == 3
@@ -179,6 +188,32 @@ class TestIndexAndQuery:
         run_cli("index", corpus, "-o", idx, "--width", "64")
         probe = write_fasta(tmp_path / "p.fa", [("p", "ACGTACGTACGTACGT")])
         assert run_cli("query", idx, probe, "--max-dist", "0") == 2
+
+    def test_query_misfit_probe_prints_nothing(self, corpus, tmp_path, capsys):
+        idx = str(tmp_path / "c.dph")
+        run_cli("index", corpus, "-o", idx, "--width", "64")
+        probe = write_fasta(tmp_path / "p.fa", [("ok", "ACGTTGCA" * 16), ("p", "ACGT" * 4)])
+        capsys.readouterr()
+        assert run_cli("query", idx, probe, "--max-dist", "0") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "record 'p':" in captured.err
+
+    def test_index_misfit_record_named_exits_2(self, tmp_path, capsys):
+        fa = write_fasta(tmp_path / "m.fa", [("ok", "ACGT" * 32), ("tiny", "ACGTACGT")])
+        out = tmp_path / "m.dph"
+        assert run_cli("index", fa, "-o", str(out), "--width", "64") == 2
+        assert "record 'tiny':" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_index_to_stdout(self, corpus, tmp_path, monkeypatch, capsysbinary):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("index", corpus, "-o", "c.dph", "--width", "64") == 0
+        assert run_cli("index", corpus, "-o", "-", "--width", "64") == 0
+        data = capsysbinary.readouterr().out
+        assert data == (tmp_path / "c.dph").read_bytes()
+        assert load_index(io.BytesIO(data)).ids == ("g0", "g1", "g2", "h0", "h1")
+        assert not (tmp_path / "-").exists()
 
     def test_max_dist_out_of_range_exits_1(self, corpus, tmp_path):
         idx = str(tmp_path / "c.dph")
@@ -329,6 +364,18 @@ class TestAtomicWrites:
         assert events == ["fsync file", "rename", "fsync dir"]
         assert target.read_bytes() == b"data"
 
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_output_mode_follows_umask(self, tmp_path, binary, umask):
+        target = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            with _atomic_write(str(target), binary=binary) as fh:
+                fh.write(b"data" if binary else "data")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
     def test_simulate_failure_preserves_existing_file(self, tmp_path):
         out = tmp_path / "h.csv"
         out.write_text("keep me")
@@ -349,6 +396,37 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout == "z\t8\n"
+
+    def test_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: with scipy unimportable,
+        # every hashing command still runs at dim 100 (10 kbp records)
+        fa = write_fasta(tmp_path / "long.fa", [("a", "ACGTTGCA" * 1250), ("b", "GATTACA" * 1430)])
+        idx = str(tmp_path / "long.dph")
+        commands = [
+            ["hash", fa],
+            ["index", fa, "-o", idx],
+            ["query", idx, fa, "--top-k", "1"],
+            ["simulate", "--len", "10000", "--width", "64", "-n", "3", "--rates", "0.1",
+             "-o", str(tmp_path / "sim.csv")],
+        ]
+        script = textwrap.dedent(f"""
+            import sys
+            sys.modules["scipy"] = None
+            from dnaphash.cli import main
+            for argv in {commands!r}:
+                if main(argv):
+                    sys.exit(f"{{argv[0]}} failed")
+        """)
+        src = os.path.dirname(os.path.dirname(dnaphash.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split("\t")[0] for line in lines] == ["a", "b", "a", "b"]
+        assert lines[2] == "a\ta\t0" and lines[3] == "b\tb\t0"
+        assert (tmp_path / "sim.csv").read_text().startswith("group,")
 
     def test_console_script_help(self):
         proc = subprocess.run(

@@ -12,14 +12,16 @@ from dnaphash import (
     StrategyTooLarge,
     WidthMismatch,
     compute_hash,
+    dct2_reference,
     hamming,
-    hash_matrix_stack,
+    hash_codes,
     layout_matrix,
     select_bits,
     sign_map,
     snap_zeros,
     zigzag_positions,
 )
+from dnaphash.sequence import codes_from_bases
 from dnaphash.simulate import generate_sequence, sequence_rng
 
 from reference_vectors import (
@@ -97,10 +99,9 @@ class TestZeroBand:
                 assert bit == 0, (i, j)
 
     def test_batch_path_applies_the_same_band(self):
-        seq = Sequence("s", "AAAATTTTCCCCGGGG")
-        mat = layout_matrix(seq).cells.astype(np.float64)[None]
-        bits = hash_matrix_stack(mat, SelectionStrategy("block", 4))
-        assert bits[0].tolist() == [1, 0, 0, 0]
+        codes = codes_from_bases("AAAATTTTCCCCGGGG")[None]
+        packed = hash_codes(codes, SelectionStrategy("block", 4))
+        assert np.unpackbits(packed[0])[:4].tolist() == [1, 0, 0, 0]
 
 
 class TestZigzag:
@@ -289,15 +290,80 @@ class TestBatchPath:
         rng = sequence_rng(9, 0)
         strat = BLOCK64
         seqs = [generate_sequence(100, rng, id=f"s{i}") for i in range(40)]
-        mats = np.stack([layout_matrix(s).cells.astype(np.float64) for s in seqs])
-        bits = hash_matrix_stack(mats, strat)
-        for row, seq in zip(bits, seqs):
+        codes = np.stack([codes_from_bases(s.bases) for s in seqs])
+        packed = hash_codes(codes, strat)
+        for row, seq in zip(packed, seqs):
             expected = compute_hash(seq, strat)
-            assert np.packbits(row).tobytes() == expected.data
+            assert row.tobytes() == expected.data
 
     def test_stack_shape_validated(self):
         with pytest.raises(ValueError):
-            hash_matrix_stack(np.zeros((4, 4)), ZIGZAG32)
+            hash_codes(np.zeros(16, dtype=np.uint8), ZIGZAG32)
+        with pytest.raises(ValueError):
+            hash_codes(np.zeros((2, 4, 4), dtype=np.uint8), ZIGZAG32)
+
+
+def _reference_signs(bases):
+    """The step-by-step pipeline over the O(N^4) literal transform, up to the sign map."""
+    return sign_map(snap_zeros(dct2_reference(layout_matrix(Sequence("ref", bases)))))
+
+
+def _widest_strategies(dim):
+    """One strategy of each kind, each reading as many cells as fit (up to 64)."""
+    side = min(dim, 8)
+    return (
+        SelectionStrategy("block", side * side),
+        SelectionStrategy("zigzag", min(dim * dim, 64)),
+        SelectionStrategy("zigzag_skip_dc", min(dim * dim - 1, 64)),
+    )
+
+
+class TestKernelProperty:
+    @pytest.mark.parametrize("dim", range(2, 65))
+    def test_matches_reference_pipeline(self, dim):
+        # near-square lengths: one past the previous square, one short of
+        # this one, and exactly this one (all lay out at side ``dim``).
+        # Constant and row-periodic layouts carry the structural zeros the
+        # band must decide; one random layout per side (its length rotates)
+        # keeps the O(N^4) oracle affordable.
+        lengths = sorted({max(4, (dim - 1) ** 2 + 1), max(4, dim * dim - 1), dim * dim})
+        rng = np.random.default_rng(dim)
+        row = ("ACGTTGCA" * dim)[:dim]
+        for i, length in enumerate(lengths):
+            contents = ["ATCG"[length % 4] * length, (row * (dim + 1))[:length]]
+            if i == dim % len(lengths):
+                contents.append("".join("ATCG"[c] for c in rng.integers(0, 4, length)))
+            codes = np.stack([codes_from_bases(b) for b in contents])
+            signs = [_reference_signs(b) for b in contents]
+            for strategy in _widest_strategies(dim):
+                got = hash_codes(codes, strategy)
+                for packed, sign, bases in zip(got, signs, contents):
+                    assert packed.tobytes() == select_bits(sign, strategy).data, \
+                        (dim, length, strategy, bases[:12])
+
+    def test_batch_equals_one_row_calls_across_chunks(self):
+        # a side whose chunk holds a few rows, so the batch spans chunk ends
+        length = 300 * 300 - 7  # pad cells too
+        from dnaphash.hashing import _WORKSPACE_CELLS
+
+        per_chunk = _WORKSPACE_CELLS // (300 * 300)
+        rng = np.random.default_rng(3)
+        codes = rng.integers(0, 4, size=(2 * per_chunk + 3, length), dtype=np.uint8)
+        codes[per_chunk] = 2  # a constant row right at a chunk start
+        for strategy in (BLOCK64, ZIGZAG32, SelectionStrategy("zigzag_skip_dc", 32)):
+            batch = hash_codes(codes, strategy)
+            singles = np.concatenate([hash_codes(codes[i:i + 1], strategy)
+                                      for i in range(codes.shape[0])])
+            assert np.array_equal(batch, singles)
+
+    def test_empty_batch(self):
+        assert hash_codes(np.zeros((0, 100), dtype=np.uint8), BLOCK64).shape == (0, 8)
+
+    def test_rejects_bad_codes(self):
+        with pytest.raises(ValueError):
+            hash_codes(np.full((1, 16), 4, dtype=np.uint8), ZIGZAG32)
+        with pytest.raises(StrategyTooLarge):
+            hash_codes(np.zeros((1, 16), dtype=np.uint8), BLOCK64)
 
 
 class TestHamming:

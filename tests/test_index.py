@@ -22,6 +22,7 @@ from dnaphash import (
     SelectionStrategy,
     Sequence,
     StrategyMismatch,
+    StrategyTooLarge,
     TruncatedFile,
     UnsupportedVersion,
     WidthMismatch,
@@ -114,6 +115,23 @@ class TestBuild:
         seqs = [Sequence("a", "ACGT" * 30), Sequence("b", "GATTACA" * 40)]
         idx = build_index(seqs, ZIGZAG32)
         assert idx.source_len.tolist() == [120, 280]
+
+    def test_interleaved_lengths_keep_input_order(self):
+        rng = sequence_rng(11, 0)
+        lengths = (100, 1000, 64, 100, 1025, 64, 1000)
+        seqs = [generate_sequence(n, rng, id=f"s{i}") for i, n in enumerate(lengths)]
+        idx = build_index(seqs, BLOCK64)
+        assert idx.source_len.tolist() == list(lengths)
+        for (rid, h), seq in zip(_records(idx), seqs):
+            assert rid == seq.id
+            assert h == compute_hash(seq, BLOCK64)
+
+    def test_misfit_names_first_record_in_input_order(self):
+        # "short" comes first although "shorter" has the smaller matrix
+        seqs = [Sequence("fits", "ACGT" * 25), Sequence("short", "ACGT" * 5),
+                Sequence("shorter", "ACGT" * 4), Sequence("short2", "ACGT" * 5)]
+        with pytest.raises(StrategyTooLarge, match="record 'short':"):
+            build_index(seqs, BLOCK64)
 
 
 class TestWindows:

@@ -5,8 +5,8 @@ import pytest
 
 from dnaphash import Sequence, dct2, dct2_reference, idct2, layout_matrix
 
-# Sides below and above the internal kernel crossover, so both the
-# basis-multiply and FFT paths get exercised.
+# Sides up to 32 and above it: the basis multiply serves every side, and
+# the large ones check it where rounding grows with the side.
 SMALL_SIDES = (2, 3, 4, 8, 10, 16, 32)
 LARGE_SIDES = (33, 40, 64)
 
@@ -92,7 +92,7 @@ class TestForward:
 
     def test_batch_equals_loop(self):
         rng = np.random.default_rng(8)
-        for n in (10, 40):  # one side per kernel path
+        for n in (10, 40):  # one small and one large side
             stack = rng.uniform(0, 255, size=(24, n, n))
             batch = dct2(stack)
             loop = np.stack([dct2(stack[i]) for i in range(stack.shape[0])])
