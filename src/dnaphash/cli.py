@@ -165,8 +165,8 @@ def cmd_query(args) -> int:
                     f"--max-dist must be within 0..{index.width}, got {args.max_dist}"
                 )
             hits = query(index, probe, args.max_dist)
-        for rid, dist in hits:
-            print(f"{seq.id}\t{rid}\t{dist}")
+        prefix = f"{seq.id}\t"
+        sys.stdout.write("".join([f"{prefix}{rid}\t{dist}\n" for rid, dist in hits]))
     return EXIT_OK
 
 

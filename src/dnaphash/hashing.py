@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -45,7 +47,16 @@ ZERO_TOL = 1e-7
 _WORKSPACE_CELLS = 1 << 18
 
 
-@lru_cache(maxsize=None)
+def _zigzag_walk(dim: int) -> Iterator[tuple[int, int]]:
+    """The cells of :func:`zigzag_positions`, one at a time."""
+    for s in range(2 * dim - 1):
+        lo = max(0, s - dim + 1)
+        hi = min(s, dim - 1)
+        rows = range(lo, hi + 1) if s % 2 else range(hi, lo - 1, -1)
+        for i in rows:
+            yield i, s - i
+
+
 def zigzag_positions(dim: int) -> tuple[tuple[int, int], ...]:
     """JPEG-style zigzag walk over a dim x dim grid, starting at (0, 0).
 
@@ -54,13 +65,7 @@ def zigzag_positions(dim: int) -> tuple[tuple[int, int], ...]:
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    out = []
-    for s in range(2 * dim - 1):
-        lo = max(0, s - dim + 1)
-        hi = min(s, dim - 1)
-        rows = range(lo, hi + 1) if s % 2 else range(hi, lo - 1, -1)
-        out.extend((i, s - i) for i in rows)
-    return tuple(out)
+    return tuple(_zigzag_walk(dim))
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,8 @@ class SelectionStrategy:
                 f"{self.kind} selection of {self.k} bits needs {self.k + skip} cells, "
                 f"but a {dim}x{dim} matrix has {dim * dim}"
             )
-        return zigzag_positions(dim)[skip:skip + self.k]
+        # Walk only as far as the selection reads, not all dim * dim cells.
+        return tuple(islice(_zigzag_walk(dim), skip, skip + self.k))
 
 
 @lru_cache(maxsize=256)

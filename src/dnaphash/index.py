@@ -18,10 +18,11 @@ import struct
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from typing import BinaryIO, Iterable
+from functools import cached_property, partial
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadMagic,
@@ -30,12 +31,20 @@ from .errors import (
     IndexFormatError,
     KOutOfRange,
     StrategyMismatch,
+    StrategyTooLarge,
     TruncatedFile,
     UnsupportedVersion,
     WidthMismatch,
 )
-from .hashing import PerceptualHash, SelectionStrategy, STRATEGY_KINDS, _hash_records
-from .sequence import MIN_LENGTH, Sequence
+from .hashing import (
+    STRATEGY_KINDS,
+    PerceptualHash,
+    SelectionStrategy,
+    _hash_records,
+    _selection_arrays,
+    hash_codes,
+)
+from .sequence import MIN_LENGTH, Sequence, codes_from_bases, matrix_dim
 
 log = logging.getLogger(__name__)
 
@@ -47,7 +56,7 @@ _ID_LEN = struct.Struct("<H")
 _SOURCE_LEN = struct.Struct("<I")
 _CRC = struct.Struct("<I")
 
-# Sequences per task when hashing across processes.
+# Sequences (or window rows) per task when hashing across processes.
 _BUILD_CHUNK = 512
 
 
@@ -126,15 +135,27 @@ class HashIndex:
     def width(self) -> int:
         return self.strategy.k
 
+    @cached_property
+    def _id_rank(self) -> np.ndarray:
+        """Each record's place among the ids in Python ``str`` order, as intp[N].
+
+        Computed on first use. Query results break distance ties with it.
+        """
+        order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        return rank
+
     def __len__(self) -> int:
         return len(self.ids)
 
 
-def expand_windows(seqs: Iterable[Sequence], window: int, step: int) -> Iterable[Sequence]:
-    """Slice sequences into fixed-size windows with ids ``parent:offset``.
+def _window_offsets(seqs: Iterable[Sequence], window: int,
+                    step: int) -> Iterator[tuple[Sequence, range]]:
+    """Each sequence that holds a window, with its window offsets.
 
-    Offsets are 0-based and advance by ``step``; a sequence shorter than
-    the window yields nothing (with a warning).
+    Checks the arguments before the first item and warns about (and
+    skips) every sequence shorter than the window.
     """
     if window < MIN_LENGTH:
         raise ValueError(f"window must be at least {MIN_LENGTH} bp")
@@ -145,7 +166,17 @@ def expand_windows(seqs: Iterable[Sequence], window: int, step: int) -> Iterable
             log.warning("sequence %r (%d bp) is shorter than the %d bp window; skipped",
                         seq.id, len(seq), window)
             continue
-        for off in range(0, len(seq) - window + 1, step):
+        yield seq, range(0, len(seq) - window + 1, step)
+
+
+def expand_windows(seqs: Iterable[Sequence], window: int, step: int) -> Iterable[Sequence]:
+    """Slice sequences into fixed-size windows with ids ``parent:offset``.
+
+    Offsets are 0-based and advance by ``step``; a sequence shorter than
+    the window yields nothing (with a warning).
+    """
+    for seq, offsets in _window_offsets(seqs, window, step):
+        for off in offsets:
             yield Sequence(id=f"{seq.id}:{off}", bases=seq.bases[off:off + window])
 
 
@@ -160,25 +191,39 @@ def build_index(
     """Hash every sequence (or every window of it) into a fresh index.
 
     Record order follows input order regardless of ``workers``. With
-    ``window`` set, each input is expanded by :func:`expand_windows` first
-    (``step`` defaults to the window size, i.e. non-overlapping).
+    ``window`` set, the records are the windows :func:`expand_windows`
+    yields (``step`` defaults to the window size, i.e. non-overlapping),
+    hashed straight from each parent's base codes.
     """
     items = list(seqs)
-    if window is not None:
-        items = list(expand_windows(items, window, step if step is not None else window))
-    if not items:
-        raise ValueError("nothing to index: no sequences (or no windows) supplied")
-
-    if workers > 1 and len(items) > _BUILD_CHUNK:
-        chunks = [items[i:i + _BUILD_CHUNK] for i in range(0, len(items), _BUILD_CHUNK)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = np.concatenate(list(pool.map(partial(_hash_records, strategy=strategy),
-                                                chunks)))
+    if window is None:
+        ids = [s.id for s in items]
+        source_len = np.fromiter(map(len, items), dtype=np.uint32, count=len(items))
+        task, chunks = _hash_records, [items]
     else:
-        rows = _hash_records(items, strategy)
+        spans = list(_window_offsets(items, window, step if step is not None else window))
+        ids = [f"{seq.id}:{off}" for seq, offsets in spans for off in offsets]
+        source_len = np.full(len(ids), window, dtype=np.uint32)
+        # One (windows, window) view of each parent's codes: no per-window copy.
+        task, chunks = hash_codes, (
+            sliding_window_view(codes_from_bases(seq.bases), window)[::offsets.step]
+            for seq, offsets in spans)
+    if not ids:
+        raise ValueError("nothing to index: no sequences (or no windows) supplied")
+    if window is not None:
+        # Every window has the same length, so the first one names a misfit.
+        try:
+            _selection_arrays(strategy, matrix_dim(window))
+        except StrategyTooLarge as exc:
+            raise StrategyTooLarge(f"record {ids[0]!r}: {exc}") from None
 
-    source_len = np.fromiter(map(len, items), dtype=np.uint32, count=len(items))
-    return HashIndex(strategy, tuple(s.id for s in items), source_len, _pad_rows(rows))
+    if workers > 1 and len(ids) > _BUILD_CHUNK:
+        chunks = (c[i:i + _BUILD_CHUNK] for c in chunks for i in range(0, len(c), _BUILD_CHUNK))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(partial(task, strategy=strategy), chunks))
+    else:
+        rows = [task(c, strategy) for c in chunks]
+    return HashIndex(strategy, tuple(ids), source_len, _pad_rows(np.concatenate(rows)))
 
 
 def _check_compatible(index: HashIndex, probe: PerceptualHash) -> None:
@@ -200,11 +245,15 @@ def _distances(index: HashIndex, probe: PerceptualHash) -> np.ndarray:
     return np.bitwise_count(words ^ q.view(np.uint64)).sum(axis=1)
 
 
-def _ranked(index: HashIndex, rows: np.ndarray, dist: np.ndarray) -> list[tuple[str, int]]:
-    """(id, distance) for the given rows, closest first, ties by id."""
+def _ranked(index: HashIndex, rows: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """The given rows, closest first, ties by id."""
+    return rows[np.lexsort((index._id_rank[rows], dist[rows]))]
+
+
+def _hits(index: HashIndex, rows: np.ndarray, dist: np.ndarray) -> list[tuple[str, int]]:
+    """(id, distance) for the given rows, in their order."""
     ids = index.ids
-    pairs = sorted(zip(dist[rows].tolist(), [ids[i] for i in rows.tolist()]))
-    return [(rid, d) for d, rid in pairs]
+    return [(ids[i], d) for i, d in zip(rows.tolist(), dist[rows].tolist())]
 
 
 def query(index: HashIndex, probe: PerceptualHash, max_dist: int) -> list[tuple[str, int]]:
@@ -213,7 +262,7 @@ def query(index: HashIndex, probe: PerceptualHash, max_dist: int) -> list[tuple[
     if not 0 <= max_dist <= index.width:
         raise ValueError(f"max_dist must be within 0..{index.width}, got {max_dist}")
     dist = _distances(index, probe)
-    return _ranked(index, np.flatnonzero(dist <= max_dist), dist)
+    return _hits(index, _ranked(index, np.flatnonzero(dist <= max_dist), dist), dist)
 
 
 def query_topk(index: HashIndex, probe: PerceptualHash, k: int) -> list[tuple[str, int]]:
@@ -225,7 +274,7 @@ def query_topk(index: HashIndex, probe: PerceptualHash, k: int) -> list[tuple[st
     # Every record at the kth distance is a candidate, so the id tie-break
     # picks among all of them, exactly as a full sort would.
     kth = np.partition(dist, k - 1)[k - 1]
-    return _ranked(index, np.flatnonzero(dist <= kth), dist)[:k]
+    return _hits(index, _ranked(index, np.flatnonzero(dist <= kth), dist)[:k], dist)
 
 
 def index_bytes(index: HashIndex) -> bytes:

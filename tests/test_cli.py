@@ -9,6 +9,7 @@ import sys
 import textwrap
 import zlib
 
+import numpy as np
 import pytest
 
 import dnaphash
@@ -142,6 +143,22 @@ class TestIndexAndQuery:
         hits = capsys.readouterr().out.strip().split("\n")
         assert "w\tg0:0\t0" in hits
         assert "w\tg0:64\t0" in hits
+
+    def test_window_workers_match_serial(self, tmp_path):
+        # the long record spans more than one worker chunk of window rows
+        rng = np.random.default_rng(5)
+        fa = write_fasta(tmp_path / "w.fa", [
+            (name, "".join(rng.choice(list("ACGT"), size=n)))
+            for name, n in (("long", 20_000), ("short", 50), ("mid", 3000))
+        ])
+        outs = []
+        for workers in ("1", "2"):
+            outs.append(tmp_path / f"w{workers}.dph")
+            assert run_cli("index", fa, "-o", str(outs[-1]), "--width", "32", "--window", "64",
+                           "--step", "37", "--workers", workers) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        with open(outs[0], "rb") as fh:
+            assert len(load_index(fh)) == 539 + 80
 
     def test_step_without_window_exits_1(self, corpus, tmp_path):
         assert run_cli("index", corpus, "-o", str(tmp_path / "x.dph"), "--step", "10") == 1

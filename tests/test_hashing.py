@@ -1,5 +1,7 @@
 """Sign rule, bit selection, hash objects and Hamming comparison."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from dnaphash import (
     snap_zeros,
     zigzag_positions,
 )
+from dnaphash.hashing import MAX_WIDTH, STRATEGY_KINDS
 from dnaphash.sequence import codes_from_bases
 from dnaphash.simulate import generate_sequence, sequence_rng
 
@@ -122,6 +125,28 @@ class TestZigzag:
         pos = zigzag_positions(dim)
         assert len(pos) == dim * dim
         assert len(set(pos)) == dim * dim
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_positions_are_a_prefix_of_the_full_walk(self, kind):
+        # every fitting k through dim 24; above it every 37th k and the last
+        skip = 1 if kind == "zigzag_skip_dc" else 0
+        for dim in range(1, 65):
+            full = zigzag_positions(dim)
+            if kind == "block":
+                ks = [side * side for side in range(1, dim + 1)]
+            else:
+                last = min(dim * dim - skip, MAX_WIDTH)
+                ks = range(1, last + 1) if dim <= 24 else [*range(1, last + 1, 37), last]
+            for k in ks:
+                pos = SelectionStrategy(kind, k).positions(dim)
+                if kind == "block":
+                    side = math.isqrt(k)
+                    assert pos == tuple(divmod(n, side) for n in range(k))
+                else:
+                    assert pos == full[skip:skip + k]
+            if kind != "block" and dim * dim - skip < MAX_WIDTH:
+                with pytest.raises(StrategyTooLarge):
+                    SelectionStrategy(kind, dim * dim - skip + 1).positions(dim)
 
 
 class TestStrategy:

@@ -5,11 +5,14 @@ import logging
 import math
 import struct
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+import dnaphash.index
 
 from dnaphash import (
     BadMagic,
@@ -36,6 +39,7 @@ from dnaphash import (
     query_topk,
     save_index,
 )
+from dnaphash.sequence import matrix_dim
 from dnaphash.simulate import generate_sequence, sequence_rng
 
 BLOCK64 = SelectionStrategy("block", 64)
@@ -173,6 +177,57 @@ class TestWindows:
         assert index_bytes(idx) == index_bytes(manual)
         assert len(idx) == 12
 
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_build_equals_expanded_windows(self, data, caplog):
+        window = data.draw(st.integers(4, 40), label="window")
+        step = data.draw(st.one_of(st.sampled_from([1, window - 1, window, window + 1]),
+                                   st.integers(1, 3 * window)), label="step")
+        lengths = data.draw(st.lists(st.integers(4, 6 * window), min_size=1, max_size=6),
+                            label="lengths")
+        dim = matrix_dim(window)
+        kind = data.draw(st.sampled_from(["block", "zigzag", "zigzag_skip_dc"]), label="kind")
+        if kind == "block":
+            k = data.draw(st.integers(1, dim), label="side") ** 2
+        else:
+            k = data.draw(st.integers(1, dim * dim - 1), label="k")
+        strategy = SelectionStrategy(kind, k)
+        rng = sequence_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"), 0)
+        seqs = [generate_sequence(n, rng, id=f"p{i}") for i, n in enumerate(lengths)]
+        short = [s.id for s in seqs if len(s) < window]
+
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            pieces = list(expand_windows(seqs, window, step))
+        assert [r.args[0] for r in caplog.records] == short
+        # a tiny chunk makes workers=2 split parents across tasks
+        with mock.patch.object(dnaphash.index, "_BUILD_CHUNK", 3):
+            for workers in (1, 2):
+                caplog.clear()
+                with caplog.at_level(logging.WARNING):
+                    if not pieces:
+                        with pytest.raises(ValueError, match="nothing to index"):
+                            build_index(seqs, strategy, window=window, step=step,
+                                        workers=workers)
+                    else:
+                        got = build_index(seqs, strategy, window=window, step=step,
+                                          workers=workers)
+                        assert index_bytes(got) == index_bytes(build_index(pieces, strategy))
+                assert [r.args[0] for r in caplog.records] == short
+
+    def test_misfit_names_first_window(self):
+        # the first parent is skipped, so the first window is q:0
+        seqs = [Sequence("tiny", "ACGTACGT"), Sequence("q", "ACGT" * 10),
+                Sequence("r", "ACGT" * 10)]
+        with pytest.raises(StrategyTooLarge, match="record 'q:0':"):
+            build_index(seqs, BLOCK64, window=16, step=5)
+
+    def test_no_windows_nothing_to_index(self):
+        seqs = [Sequence("a", "ACGT" * 10), Sequence("b", "ACGT" * 20)]
+        with pytest.raises(ValueError, match="nothing to index"):
+            build_index(seqs, ZIGZAG32, window=100, step=10)
+
 
 class TestQuery:
     def test_brute_force_agreement(self):
@@ -236,6 +291,20 @@ class TestTopK:
             got = query_topk(idx, probe, k=k)
             want = sorted((hamming(h, probe), rid) for rid, h in _records(idx))[:k]
             assert [(d, i) for i, d in got] == [(d, i) for d, i in want]
+
+    @pytest.mark.parametrize("n", [3, 40, 1000])
+    def test_all_tied_index_orders_by_python_str_order(self, n):
+        # "s10" < "s9", code-point (not UTF-16) order above U+FFFF, and a
+        # trailing NUL that a numpy U array would drop
+        odd = ["s9", "s10", "s1", "é", "ß", "日本", "\uff5e", "\U0001f600", "a", "a\x00"]
+        ids = (odd + [f"s{i}" for i in range(11, n + 11)])[:n]
+        h = PerceptualHash.from_bits([1] + [0] * 31, ZIGZAG32)
+        idx = _index_of(ZIGZAG32, [(rid, h) for rid in reversed(ids)])
+        want = [(rid, 0) for rid in sorted(ids)]
+        for k in sorted({1, min(10, n), n}):
+            assert query_topk(idx, h, k) == want[:k]
+        assert query(idx, h, 0) == want
+        assert query(idx, h, 32) == want
 
     def test_k_out_of_range(self):
         idx = _random_index(10, ZIGZAG32)
