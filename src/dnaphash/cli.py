@@ -10,17 +10,21 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import logging
 import math
 import os
 import sys
 import tempfile
+from typing import Iterator
+
+import numpy as np
 
 from .bench import run_bench
 from .errors import DataError, IndexFormatError
-from .hashing import STRATEGY_KINDS, PerceptualHash, SelectionStrategy, _hash_records
-from .index import build_index, load_index, query, query_topk, save_index
-from .sequence import Sequence, parse_fasta
+from .hashing import STRATEGY_KINDS, PerceptualHash, SelectionStrategy, _hash_records, _misfit
+from .index import _build, _range_rows, _topk_rows, load_index, save_index
+from .sequence import _Batch, _stream_fasta
 from .simulate import (
     DEFAULT_N_PRIMARY,
     DEFAULT_RATES,
@@ -112,24 +116,47 @@ def _atomic_write(path: str | None, *, binary: bool = False):
         os.close(dir_fd)
 
 
-def _read_sequences(paths: list[str], n_policy: str) -> list[Sequence]:
-    seqs: list[Sequence] = []
+def _batches(paths: list[str], n_policy: str) -> Iterator[_Batch]:
+    """The records of each FASTA file in turn ('-', or none, is stdin)."""
     for path in paths or ["-"]:
         if path == "-":
-            seqs.extend(parse_fasta(sys.stdin, n_policy=n_policy))
+            # A replaced sys.stdin may be a text stream without a byte buffer.
+            stdin = getattr(sys.stdin, "buffer", None) or io.BytesIO(sys.stdin.read().encode())
+            yield from _stream_fasta(stdin, n_policy=n_policy)
         else:
-            with open(path, "r", encoding="utf-8") as handle:
-                seqs.extend(parse_fasta(handle, n_policy=n_policy))
-    return seqs
+            with open(path, "rb") as handle:
+                yield from _stream_fasta(handle, n_policy=n_policy)
+
+
+def _hash_fasta(paths: list[str], n_policy: str,
+                strategy: SelectionStrategy) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Ids, packed hash rows and lengths of every record, each batch hashed as it is read.
+
+    A record the strategy does not fit is reported only once all the input
+    has been read, so that a bad record anywhere wins over it.
+    """
+    ids: list[str] = []
+    rows: list[np.ndarray] = [np.empty((0, (strategy.k + 7) // 8), dtype=np.uint8)]
+    lengths: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    misfit = None
+    for batch in _batches(paths, n_policy):
+        misfit = misfit or _misfit(batch.ids, batch.lengths, strategy)
+        if misfit is None:
+            rows.append(_hash_records(batch.lengths, batch.codes, strategy))
+        ids.extend(batch.ids)
+        lengths.append(batch.lengths)
+    if misfit is not None:
+        raise misfit
+    return ids, np.concatenate(rows), np.concatenate(lengths)
 
 
 def cmd_hash(args) -> int:
     strategy = _strategy(args)
-    seqs = _read_sequences(args.fasta, args.n_policy)
-    rows = _hash_records(seqs, strategy)
+    ids, rows, _ = _hash_fasta(args.fasta, args.n_policy, strategy)
     digits = (strategy.k + 3) // 4
-    sys.stdout.writelines(f"{seq.id}\t{row.tobytes().hex()[:digits]}\n"
-                          for seq, row in zip(seqs, rows))
+    hexes = rows.tobytes().hex()
+    sys.stdout.write("".join([f"{rid}\t{hexes[at:at + digits]}\n"
+                              for rid, at in zip(ids, range(0, len(hexes), 2 * rows.shape[1]))]))
     return EXIT_OK
 
 
@@ -138,10 +165,9 @@ def cmd_index(args) -> int:
     workers = _resolve_workers(args.workers)
     if args.step is not None and args.window is None:
         raise UsageError("--step only makes sense together with --window")
-    seqs = _read_sequences(args.fasta, args.n_policy)
     try:
-        index = build_index(seqs, strategy, window=args.window, step=args.step,
-                            workers=workers)
+        index = _build(_batches(args.fasta, args.n_policy), strategy, window=args.window,
+                       step=args.step, workers=workers)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     with _atomic_write(args.output, binary=True) as sink:
@@ -153,20 +179,21 @@ def cmd_index(args) -> int:
 def cmd_query(args) -> int:
     with open(args.index, "rb") as handle:
         index = load_index(handle)
-    seqs = _read_sequences([args.fasta], args.n_policy)
-    rows = _hash_records(seqs, index.strategy)
-    for seq, row in zip(seqs, rows):
-        probe = PerceptualHash(row.tobytes(), index.strategy, source_len=len(seq))
+    probes, rows, lengths = _hash_fasta([args.fasta], args.n_policy, index.strategy)
+    ids = index.ids
+    for pid, row, length in zip(probes, rows, lengths.tolist()):
+        probe = PerceptualHash(row.tobytes(), index.strategy, source_len=length)
         if args.top_k is not None:
-            hits = query_topk(index, probe, args.top_k)
+            hits, dist = _topk_rows(index, probe, args.top_k)
         else:
             if not 0 <= args.max_dist <= index.width:
                 raise UsageError(
                     f"--max-dist must be within 0..{index.width}, got {args.max_dist}"
                 )
-            hits = query(index, probe, args.max_dist)
-        prefix = f"{seq.id}\t"
-        sys.stdout.write("".join([f"{prefix}{rid}\t{dist}\n" for rid, dist in hits]))
+            hits, dist = _range_rows(index, probe, args.max_dist)
+        prefix = f"{pid}\t"
+        sys.stdout.write("".join([f"{prefix}{ids[i]}\t{d}\n"
+                                  for i, d in zip(hits.tolist(), dist[hits].tolist())]))
     return EXIT_OK
 
 

@@ -224,7 +224,8 @@ def hash_codes(codes, strategy: SelectionStrategy) -> np.ndarray:
 
     Row b holds the bytes :func:`compute_hash` gives for ``codes[b]``. Only
     the coefficients the selection reads are computed, as ``T[:r] @ M @
-    T[:c].T``, in chunks of at most ``_WORKSPACE_CELLS`` float cells.
+    T[:c].T``, in chunks whose float cells, intermediates included, stay
+    within ``_WORKSPACE_CELLS``.
     """
     codes = np.asarray(codes, dtype=np.uint8)
     if codes.ndim != 2:
@@ -237,7 +238,9 @@ def hash_codes(codes, strategy: SelectionStrategy) -> np.ndarray:
     dim = matrix_dim(length)
     rows, cols, left, right = _selection_arrays(strategy, dim)
     out = np.empty((count, (strategy.k + 7) // 8), dtype=np.uint8)
-    chunk = max(1, _WORKSPACE_CELLS // (dim * dim))
+    # Per row: the matrix, left @ matrix, its product with right, the selected cells.
+    r, c = len(left), right.shape[1]
+    chunk = max(1, _WORKSPACE_CELLS // (dim * dim + r * dim + r * c + strategy.k))
     cells = np.zeros((min(chunk, count), dim * dim))  # pad cells stay 0
     for start in range(0, count, chunk):
         part = codes[start:start + chunk]
@@ -248,26 +251,42 @@ def hash_codes(codes, strategy: SelectionStrategy) -> np.ndarray:
     return out
 
 
-def _hash_records(seqs: list[Sequence], strategy: SelectionStrategy) -> np.ndarray:
-    """:func:`hash_codes` rows for sequences of any lengths, in input order.
-
-    Raises :class:`StrategyTooLarge` naming the first record, in input
-    order, that the strategy does not fit.
-    """
-    groups: dict[int, list[int]] = {}  # in order of each length's first record
-    for i, seq in enumerate(seqs):
-        groups.setdefault(len(seq), []).append(i)
-    out = np.empty((len(seqs), (strategy.k + 7) // 8), dtype=np.uint8)
-    for length, members in groups.items():
+def _misfit(ids: list[str], lengths, strategy: SelectionStrategy) -> StrategyTooLarge | None:
+    """The error naming the first record, in input order, that ``strategy`` does not fit."""
+    lengths = np.asarray(lengths).tolist()
+    for length in dict.fromkeys(lengths):  # each length once, by first appearance
         try:
             _selection_arrays(strategy, matrix_dim(length))
         except StrategyTooLarge as exc:
-            raise StrategyTooLarge(f"record {seqs[members[0]].id!r}: {exc}") from None
+            return StrategyTooLarge(f"record {ids[lengths.index(length)]!r}: {exc}")
+    return None
+
+
+def _hash_records(lengths: np.ndarray, codes: np.ndarray, strategy: SelectionStrategy) -> np.ndarray:
+    """:func:`hash_codes` rows of records of any lengths, in input order.
+
+    Record i is the ``lengths[i]`` codes after those of the records before
+    it. Records of one length are hashed together: a run of them that is
+    contiguous is reshaped in place, the others are gathered a chunk at a
+    time. Check the fit with :func:`_misfit` first.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    out = np.empty((len(lengths), (strategy.k + 7) // 8), dtype=np.uint8)
+    order = np.argsort(lengths, kind="stable")
+    for members in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        if not members.size:
+            continue
+        length = int(lengths[members[0]])
         step = max(1, _WORKSPACE_CELLS // matrix_dim(length) ** 2)
-        for start in range(0, len(members), step):
-            part = members[start:start + step]
-            codes = codes_from_bases("".join(seqs[i].bases for i in part))
-            out[part] = hash_codes(codes.reshape(len(part), length), strategy)
+        for i in range(0, len(members), step):
+            part = members[i:i + step]
+            first = starts[part[0]]
+            if part[-1] - part[0] + 1 == len(part):
+                rows = codes[first:first + len(part) * length].reshape(len(part), length)
+            else:
+                rows = codes[starts[part][:, None] + np.arange(length)]
+            out[part] = hash_codes(rows, strategy)
     return out
 
 

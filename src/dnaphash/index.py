@@ -19,7 +19,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,7 +31,6 @@ from .errors import (
     IndexFormatError,
     KOutOfRange,
     StrategyMismatch,
-    StrategyTooLarge,
     TruncatedFile,
     UnsupportedVersion,
     WidthMismatch,
@@ -41,10 +40,10 @@ from .hashing import (
     PerceptualHash,
     SelectionStrategy,
     _hash_records,
-    _selection_arrays,
+    _misfit,
     hash_codes,
 )
-from .sequence import MIN_LENGTH, Sequence, codes_from_bases, matrix_dim
+from .sequence import MIN_LENGTH, Sequence, _Batch, _batch_of
 
 log = logging.getLogger(__name__)
 
@@ -150,23 +149,20 @@ class HashIndex:
         return len(self.ids)
 
 
-def _window_offsets(seqs: Iterable[Sequence], window: int,
-                    step: int) -> Iterator[tuple[Sequence, range]]:
-    """Each sequence that holds a window, with its window offsets.
-
-    Checks the arguments before the first item and warns about (and
-    skips) every sequence shorter than the window.
-    """
+def _check_window(window: int, step: int) -> None:
     if window < MIN_LENGTH:
         raise ValueError(f"window must be at least {MIN_LENGTH} bp")
     if step < 1:
         raise ValueError("step must be positive")
-    for seq in seqs:
-        if len(seq) < window:
-            log.warning("sequence %r (%d bp) is shorter than the %d bp window; skipped",
-                        seq.id, len(seq), window)
-            continue
-        yield seq, range(0, len(seq) - window + 1, step)
+
+
+def _offsets(rid: str, length: int, window: int, step: int) -> range:
+    """Window offsets in one sequence: none, with a warning, when it is shorter than the window."""
+    if length < window:
+        log.warning("sequence %r (%d bp) is shorter than the %d bp window; skipped",
+                    rid, length, window)
+        return range(0)
+    return range(0, length - window + 1, step)
 
 
 def expand_windows(seqs: Iterable[Sequence], window: int, step: int) -> Iterable[Sequence]:
@@ -175,8 +171,9 @@ def expand_windows(seqs: Iterable[Sequence], window: int, step: int) -> Iterable
     Offsets are 0-based and advance by ``step``; a sequence shorter than
     the window yields nothing (with a warning).
     """
-    for seq, offsets in _window_offsets(seqs, window, step):
-        for off in offsets:
+    _check_window(window, step)
+    for seq in seqs:
+        for off in _offsets(seq.id, len(seq), window, step):
             yield Sequence(id=f"{seq.id}:{off}", bases=seq.bases[off:off + window])
 
 
@@ -195,35 +192,81 @@ def build_index(
     yields (``step`` defaults to the window size, i.e. non-overlapping),
     hashed straight from each parent's base codes.
     """
-    items = list(seqs)
-    if window is None:
-        ids = [s.id for s in items]
-        source_len = np.fromiter(map(len, items), dtype=np.uint32, count=len(items))
-        task, chunks = _hash_records, [items]
-    else:
-        spans = list(_window_offsets(items, window, step if step is not None else window))
-        ids = [f"{seq.id}:{off}" for seq, offsets in spans for off in offsets]
-        source_len = np.full(len(ids), window, dtype=np.uint32)
-        # One (windows, window) view of each parent's codes: no per-window copy.
-        task, chunks = hash_codes, (
-            sliding_window_view(codes_from_bases(seq.bases), window)[::offsets.step]
-            for seq, offsets in spans)
+    return _build([_batch_of(list(seqs))], strategy, window=window, step=step, workers=workers)
+
+
+def _build(batches: Iterable[_Batch], strategy: SelectionStrategy, *, window: int | None = None,
+           step: int | None = None, workers: int = 1) -> HashIndex:
+    """:func:`build_index` over batches of records, hashing each batch as it arrives.
+
+    An error in a record comes from ``batches`` when it is read. The other
+    errors wait until every batch has been read, so that a bad record
+    anywhere wins over them. They are, in order: the window arguments, an
+    empty index, a record (or window) that ``strategy`` does not fit, and
+    a duplicate id. With ``workers`` above 1 the records are hashed in a
+    process pool once all of them are read.
+    """
+    if window is not None:
+        step = window if step is None else step
+        try:
+            _check_window(window, step)
+        except ValueError:
+            for _ in batches:  # read on: a bad record anywhere wins
+                pass
+            raise
+    # Arguments, after the strategy, of hash_codes (windows) or _hash_records.
+    task = hash_codes if window is not None else _hash_records
+    args: list[tuple] = []
+    ids: list[str] = []
+    lengths: list[np.ndarray] = []
+    rows: list[np.ndarray] = []
+    misfit = None
+    for batch in batches:
+        if window is None:
+            misfit = misfit or _misfit(batch.ids, batch.lengths, strategy)
+            ids.extend(batch.ids)
+            lengths.append(batch.lengths)
+            args.append((batch.lengths, batch.codes))
+        else:
+            start = 0
+            for rid, length in zip(batch.ids, batch.lengths.tolist()):
+                offsets = _offsets(rid, length, window, step)
+                if offsets:
+                    misfit = misfit or _misfit([f"{rid}:0"], [window], strategy)
+                    ids.extend(f"{rid}:{off}" for off in offsets)
+                    # One (windows, window) view of the parent's codes: no per-window copy.
+                    parent = batch.codes[start:start + length]
+                    args.append((sliding_window_view(parent, window)[::step],))
+                start += length
+        if misfit is not None:
+            args.clear()
+        elif workers == 1:
+            rows.extend(task(*a, strategy) for a in args)
+            args.clear()
     if not ids:
         raise ValueError("nothing to index: no sequences (or no windows) supplied")
-    if window is not None:
-        # Every window has the same length, so the first one names a misfit.
-        try:
-            _selection_arrays(strategy, matrix_dim(window))
-        except StrategyTooLarge as exc:
-            raise StrategyTooLarge(f"record {ids[0]!r}: {exc}") from None
+    if misfit is not None:
+        raise misfit
 
-    if workers > 1 and len(ids) > _BUILD_CHUNK:
-        chunks = (c[i:i + _BUILD_CHUNK] for c in chunks for i in range(0, len(c), _BUILD_CHUNK))
+    if len(ids) > _BUILD_CHUNK and args:
+        chunks = [c for a in args for c in _chunks(a, _BUILD_CHUNK)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(partial(task, strategy=strategy), chunks))
+            rows = list(pool.map(partial(task, strategy=strategy), *zip(*chunks)))
     else:
-        rows = [task(c, strategy) for c in chunks]
+        rows.extend(task(*a, strategy) for a in args)
+    source_len = np.full(len(ids), window) if window is not None else np.concatenate(lengths)
     return HashIndex(strategy, tuple(ids), source_len, _pad_rows(np.concatenate(rows)))
+
+
+def _chunks(args: tuple, size: int) -> list[tuple]:
+    """Arguments of hash_codes or _hash_records split into tasks of ``size`` rows."""
+    if len(args) == 1:
+        (view,) = args
+        return [(view[i:i + size],) for i in range(0, len(view), size)]
+    lengths, codes = args
+    starts = np.concatenate(([0], np.cumsum(lengths))).tolist()
+    return [(lengths[i:i + size], codes[starts[i]:starts[min(i + size, len(lengths))]])
+            for i in range(0, len(lengths), size)]
 
 
 def _check_compatible(index: HashIndex, probe: PerceptualHash) -> None:
@@ -256,17 +299,18 @@ def _hits(index: HashIndex, rows: np.ndarray, dist: np.ndarray) -> list[tuple[st
     return [(ids[i], d) for i, d in zip(rows.tolist(), dist[rows].tolist())]
 
 
-def query(index: HashIndex, probe: PerceptualHash, max_dist: int) -> list[tuple[str, int]]:
-    """All (id, distance) pairs within ``max_dist``, closest first, ties by id."""
+def _range_rows(index: HashIndex, probe: PerceptualHash,
+                max_dist: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of :func:`query`'s hits, in its order, and every record's distance."""
     _check_compatible(index, probe)
     if not 0 <= max_dist <= index.width:
         raise ValueError(f"max_dist must be within 0..{index.width}, got {max_dist}")
     dist = _distances(index, probe)
-    return _hits(index, _ranked(index, np.flatnonzero(dist <= max_dist), dist), dist)
+    return _ranked(index, np.flatnonzero(dist <= max_dist), dist), dist
 
 
-def query_topk(index: HashIndex, probe: PerceptualHash, k: int) -> list[tuple[str, int]]:
-    """The k nearest (id, distance) pairs, closest first, ties by id."""
+def _topk_rows(index: HashIndex, probe: PerceptualHash, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of :func:`query_topk`'s hits, in its order, and every record's distance."""
     _check_compatible(index, probe)
     if not 1 <= k <= len(index):
         raise KOutOfRange(f"k must be within 1..{len(index)}, got {k}")
@@ -274,34 +318,58 @@ def query_topk(index: HashIndex, probe: PerceptualHash, k: int) -> list[tuple[st
     # Every record at the kth distance is a candidate, so the id tie-break
     # picks among all of them, exactly as a full sort would.
     kth = np.partition(dist, k - 1)[k - 1]
-    return _hits(index, _ranked(index, np.flatnonzero(dist <= kth), dist)[:k], dist)
+    return _ranked(index, np.flatnonzero(dist <= kth), dist)[:k], dist
+
+
+def query(index: HashIndex, probe: PerceptualHash, max_dist: int) -> list[tuple[str, int]]:
+    """All (id, distance) pairs within ``max_dist``, closest first, ties by id."""
+    return _hits(index, *_range_rows(index, probe, max_dist))
+
+
+def query_topk(index: HashIndex, probe: PerceptualHash, k: int) -> list[tuple[str, int]]:
+    """The k nearest (id, distance) pairs, closest first, ties by id."""
+    return _hits(index, *_topk_rows(index, probe, k))
 
 
 def index_bytes(index: HashIndex) -> bytes:
     """Serialize an index to its binary file format."""
-    nbytes = (index.width + 7) // 8
+    count, nbytes = len(index), (index.width + 7) // 8
     header = _HEADER.pack(
         MAGIC,
         FORMAT_VERSION,
         index.width,
         STRATEGY_KINDS.index(index.strategy.kind),
         0,
-        len(index),
+        count,
     )
-    # Each record's fixed-size tail: source length (u32 LE), then the hash.
-    tails = np.hstack([
+    joined = "".join(index.ids)
+    if joined.isascii():  # one encode; an ASCII id has one byte per character
+        encoded = joined.encode("ascii")
+        id_len = np.fromiter(map(len, index.ids), dtype=np.int64, count=count)
+    else:
+        each = [rid.encode("utf-8") for rid in index.ids]
+        encoded = b"".join(each)
+        id_len = np.fromiter(map(len, each), dtype=np.int64, count=count)
+    if count and id_len.max() > 0xFFFF:
+        rid = index.ids[int(np.argmax(id_len > 0xFFFF))]
+        raise ValueError(f"record id {rid[:32]!r}... is too long to serialize")
+    # A record is id length (u16 LE), id, source length (u32 LE) and hash;
+    # every byte but the id's belongs to a fixed-size field.
+    fixed = np.hstack([
+        id_len.astype("<u2").view(np.uint8).reshape(-1, _ID_LEN.size),
         index.source_len.astype("<u4").view(np.uint8).reshape(-1, _SOURCE_LEN.size),
         index.hashes[:, :nbytes],
-    ]).tobytes()
-    tail_size = _SOURCE_LEN.size + nbytes
-    parts = [header]
-    for i, rid in enumerate(index.ids):
-        ident = rid.encode("utf-8")
-        if len(ident) > 0xFFFF:
-            raise ValueError(f"record id {rid[:32]!r}... is too long to serialize")
-        parts.append(_ID_LEN.pack(len(ident)) + ident + tails[i * tail_size:(i + 1) * tail_size])
-    body = b"".join(parts)
-    return body + _CRC.pack(zlib.crc32(body))
+    ])
+    spans = np.column_stack([np.full(count, _ID_LEN.size), id_len,
+                             np.full(count, _SOURCE_LEN.size + nbytes)])
+    is_id = np.repeat(np.tile([False, True, False], count), spans.ravel())
+    out = np.empty(_HEADER.size + is_id.size + _CRC.size, dtype=np.uint8)
+    out[:_HEADER.size] = np.frombuffer(header, dtype=np.uint8)
+    records = out[_HEADER.size:-_CRC.size]
+    records[is_id] = np.frombuffer(encoded, dtype=np.uint8)
+    records[~is_id] = fixed.ravel()
+    out[-_CRC.size:] = np.frombuffer(_CRC.pack(zlib.crc32(out[:-_CRC.size])), dtype=np.uint8)
+    return out.tobytes()
 
 
 def save_index(index: HashIndex, sink: BinaryIO) -> None:

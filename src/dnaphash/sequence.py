@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,6 +43,15 @@ _ASCII_TO_CODE = np.full(256, 255, dtype=np.uint8)
 for _i, _b in enumerate(BASE_ORDER):
     _ASCII_TO_CODE[ord(_b)] = _i
 _CODE_TO_ASCII = np.frombuffer(BASE_ORDER.encode("ascii"), dtype=np.uint8)
+
+# The same table for bytes.translate over FASTA text, lower case included.
+_FASTA_TO_CODE = bytearray(_ASCII_TO_CODE.tobytes())
+for _i, _b in enumerate(BASE_ORDER.lower()):
+    _FASTA_TO_CODE[ord(_b)] = _i
+_FASTA_TO_CODE = bytes(_FASTA_TO_CODE)
+
+#: Bytes :func:`_stream_fasta` reads at a time; a longer record is read whole.
+_BLOCK_BYTES = 1 << 18
 
 
 def encode_base(base: str) -> int:
@@ -145,6 +154,53 @@ def layout_matrix(seq: Sequence) -> PixelMatrix:
     return PixelMatrix(cells=cells, payload_len=n)
 
 
+def _check_policy(n_policy: str) -> None:
+    if n_policy not in ("reject", "skip-record"):
+        raise ValueError(f"unknown n_policy {n_policy!r}")
+
+
+def _parse_lines(lines: Iterable[str], n_policy: str, first_line: int = 1) -> Iterator[Sequence]:
+    """The records of FASTA lines, the first being line ``first_line``; see :func:`parse_fasta`."""
+    header: str | None = None
+    parts: list[str] = []
+
+    def flush():
+        if header is None:
+            return
+        bases = "".join(parts)
+        if not bases:
+            raise EmptyRecord(f"record {header!r} has no sequence lines")
+        try:
+            seq = Sequence(id=header, bases=bases)
+        except InvalidBase:
+            if n_policy == "reject":
+                raise
+            log.warning("record %r contains non-ATCG symbols; skipped", header)
+            return
+        yield seq
+
+    for lineno, raw in enumerate(lines, start=first_line):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith(">"):
+            yield from flush()
+            fields = line[1:].split(maxsplit=1)
+            if not fields:
+                raise MalformedFasta(f"line {lineno}: header with no id")
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:  # bytes that were not UTF-8, escaped on decoding
+                    raise MalformedFasta(f"line {lineno}: header is not valid UTF-8") from None
+            header, parts = fields[0], []
+        else:
+            if header is None:
+                raise MalformedFasta(f"line {lineno}: sequence data before any '>' header")
+            parts.append(line)
+    yield from flush()
+
+
 def parse_fasta(lines: Iterable[str], *, n_policy: str = "reject") -> list[Sequence]:
     """Parse FASTA text into validated sequences, preserving input order.
 
@@ -157,47 +213,157 @@ def parse_fasta(lines: Iterable[str], *, n_policy: str = "reject") -> list[Seque
     A/T/C/G: ``"reject"`` raises :class:`InvalidBase` (with the record id and
     1-based offset), ``"skip-record"`` drops the record with a warning.
     """
-    if n_policy not in ("reject", "skip-record"):
-        raise ValueError(f"unknown n_policy {n_policy!r}")
+    _check_policy(n_policy)
     if isinstance(lines, str):
         lines = lines.splitlines()
-
-    out: list[Sequence] = []
-    header: str | None = None
-    parts: list[str] = []
-
-    def flush():
-        if header is None:
-            return
-        bases = "".join(parts)
-        if not bases:
-            raise EmptyRecord(f"record {header!r} has no sequence lines")
-        try:
-            out.append(Sequence(id=header, bases=bases))
-        except InvalidBase:
-            if n_policy == "reject":
-                raise
-            log.warning("record %r contains non-ATCG symbols; skipped", header)
-
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            flush()
-            fields = line[1:].split(maxsplit=1)
-            if not fields:
-                raise MalformedFasta(f"line {lineno}: header with no id")
-            header, parts = fields[0], []
-        else:
-            if header is None:
-                raise MalformedFasta(f"line {lineno}: sequence data before any '>' header")
-            parts.append(line)
-    flush()
-    return out
+    return list(_parse_lines(lines, n_policy))
 
 
 def read_fasta(path: str, *, n_policy: str = "reject") -> list[Sequence]:
-    """:func:`parse_fasta` over the contents of a file."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """:func:`parse_fasta` over the contents of a file.
+
+    A byte that is not UTF-8 is an error of the line that holds it: an
+    :class:`InvalidBase` in a sequence line, a :class:`MalformedFasta` in a
+    header or before the first one.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         return parse_fasta(handle, n_policy=n_policy)
+
+
+class _Batch(NamedTuple):
+    """Records in input order: their ids, their lengths and all their base codes.
+
+    Record i's codes (0..3 for A, T, C, G) are the ``lengths[i]`` bytes of
+    ``codes`` that follow those of the records before it.
+    """
+
+    ids: list[str]
+    lengths: np.ndarray  # int64[N]
+    codes: np.ndarray  # uint8[lengths.sum()]
+
+
+def _batch_of(seqs: list[Sequence]) -> _Batch:
+    """One batch of validated sequences."""
+    return _Batch([s.id for s in seqs], np.fromiter(map(len, seqs), np.int64, len(seqs)),
+                  codes_from_bases("".join(s.bases for s in seqs)))
+
+
+def _fasta_lines(data: bytes) -> list[str]:
+    """Undecoded FASTA text as the lines a text file gives (LF, CRLF or CR ends)."""
+    text = data.decode("utf-8", "surrogateescape")
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _decoded_or_empty(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        return ""
+
+
+def _batch_of_text(data: bytes, first_line: int, n_policy: str) -> tuple[_Batch, int]:
+    """The records in ``data`` (whole records, from a line start), and the next line number.
+
+    A record takes the fast path when its header decodes and has an id and
+    its body holds at least ``MIN_LENGTH`` bases, only A/C/G/T in either
+    case with LF or CRLF line ends: one ``bytes.translate`` checks and
+    encodes it. Every other record, and any text before a file's first
+    header, goes through :func:`_parse_lines` from its own line number, so
+    it is kept, skipped or raised exactly as :func:`read_fasta` would.
+    """
+    ids: list[str] = []
+    lengths: list[int] = []
+    codes: list[bytes] = []
+
+    def reparse(text: bytes, line: int) -> None:
+        for seq in _parse_lines(_fasta_lines(text), n_policy, line):
+            ids.append(seq.id)
+            lengths.append(len(seq))
+            codes.append(seq.bases.encode("ascii").translate(_FASTA_TO_CODE))
+
+    def batch() -> _Batch:
+        return _Batch(ids, np.array(lengths, dtype=np.int64),
+                      np.frombuffer(b"".join(codes), dtype=np.uint8))
+
+    carriage = data.count(b"\r")
+    lone_cr = carriage - data.count(b"\r\n") if carriage else 0
+    next_line = first_line + data.count(b"\n") + lone_cr
+    if lone_cr:  # a lone CR ends a line too; only the line parser splits there
+        reparse(data, first_line)
+        return batch(), next_line
+
+    pieces = data.split(b"\n>")
+    if pieces[0][:1] == b">":
+        pieces[0] = pieces[0][1:]
+        offset = 1  # of the first piece in data
+    else:  # text before the first header
+        prefix = pieces.pop(0)
+        reparse(prefix, first_line)
+        if not pieces:
+            return batch(), next_line
+        offset = len(prefix) + 2
+
+    split = [piece.partition(b"\n") for piece in pieces]
+    body_codes = [body.translate(_FASTA_TO_CODE, b"\r\n") for _, _, body in split]
+    body_lengths = np.fromiter(map(len, body_codes), np.int64, len(body_codes))
+    joined = b"".join(body_codes)
+    try:
+        heads = b"\n".join([head for head, _, _ in split]).decode("utf-8").split("\n")
+    except UnicodeDecodeError:  # the headers that do not decode get no id, so are reparsed
+        heads = [_decoded_or_empty(head) for head, _, _ in split]
+    names = [(head.split(None, 1) or ("",))[0] for head in heads]
+
+    bad = set(np.flatnonzero(body_lengths < MIN_LENGTH).tolist())
+    if joined.find(b"\xff") >= 0:
+        wrong = np.flatnonzero(np.frombuffer(joined, dtype=np.uint8) > 3)
+        bad.update(np.searchsorted(np.cumsum(body_lengths), wrong, side="right").tolist())
+    if not all(names):
+        bad.update(i for i, name in enumerate(names) if not name)
+    if not bad and not ids:
+        return _Batch(names, body_lengths, np.frombuffer(joined, dtype=np.uint8)), next_line
+
+    # Keep each run of fast records whole; reparse every other record alone,
+    # from the line its header is on.
+    spans = np.fromiter(map(len, pieces), np.int64, len(pieces)) + 2  # with the "\n>" after
+    piece_at = (offset + np.cumsum(spans) - spans).tolist()
+    starts = [0] + np.cumsum(body_lengths).tolist()
+    done = counted = 0
+    line = first_line
+    for i in sorted(bad) + [len(pieces)]:
+        ids.extend(names[done:i])
+        lengths.extend(body_lengths[done:i].tolist())
+        codes.append(joined[starts[done]:starts[i]])
+        if i < len(pieces):
+            line += data.count(b"\n", counted, piece_at[i])
+            counted = piece_at[i]
+            reparse(b">" + pieces[i], line)
+        done = i + 1
+    return batch(), next_line
+
+
+def _stream_fasta(handle: BinaryIO, *, n_policy: str = "reject") -> Iterator[_Batch]:
+    """The records of a binary FASTA stream, a :class:`_Batch` at a time.
+
+    Reads ``_BLOCK_BYTES`` at a time and cuts before the last header that
+    starts a line, so each batch holds whole records and a record longer
+    than a block is read whole. The records, errors and warnings are those
+    of :func:`read_fasta` on the same bytes, in the same order.
+    """
+    _check_policy(n_policy)
+    line = 1
+    pending: list[bytes] = []
+    while True:
+        block = handle.read(_BLOCK_BYTES)
+        cut = block.rfind(b"\n>") + 1
+        if block and not cut:
+            pending.append(block)
+            continue
+        pending.append(block[:cut])
+        data = b"".join(pending)
+        pending = [block[cut:]]
+        if data:
+            batch, line = _batch_of_text(data, line, n_policy)
+            if batch.ids:
+                yield batch
+        if not block:
+            return

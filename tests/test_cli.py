@@ -2,6 +2,7 @@
 
 import io
 import os
+import random
 import stat
 import struct
 import subprocess
@@ -98,6 +99,25 @@ class TestHash:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "record 'tiny':" in captured.err
+
+    def test_bad_record_in_a_later_file_wins_over_a_misfit(self, tmp_path, capsys):
+        a = write_fasta(tmp_path / "a.fa", [("ok", "ACGT" * 32), ("tiny", "ACGTACGT")])
+        b = write_fasta(tmp_path / "b.fa", [("fine", "ACGT" * 32), ("oops", "ACGTNACGT" * 4)])
+        assert run_cli("hash", "--width", "64", a, b) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid base 'N' in record 'oops' at position 5" in captured.err
+        assert "tiny" not in captured.err
+
+    def test_non_utf8_input_is_a_data_error(self, tmp_path, capsys):
+        bad_base = tmp_path / "base.fa"
+        bad_base.write_bytes(b">a\nAC\xffGT\n")
+        bad_header = tmp_path / "head.fa"
+        bad_header.write_bytes(b">a\nACGT\n>b\xff\nACGT\n")
+        assert run_cli("hash", "--width", "4", str(bad_base)) == 2
+        assert "in record 'a' at position 3" in capsys.readouterr().err
+        assert run_cli("hash", "--width", "4", str(bad_header)) == 2
+        assert "line 3: header is not valid UTF-8" in capsys.readouterr().err
 
     def test_missing_file_exits_3(self, tmp_path):
         assert run_cli("hash", str(tmp_path / "nope.fa")) == 3
@@ -251,6 +271,46 @@ class TestIndexAndQuery:
         fa = tmp_path / "empty.fa"
         fa.write_text("")
         assert run_cli("index", str(fa), "-o", str(tmp_path / "e.dph")) == 1
+
+
+class TestFuzzedFasta:
+    def test_every_mutation_exits_with_a_documented_code(self, tmp_path, capsys):
+        # Byte flips, inserts and truncations of a small FASTA, run through
+        # hash, index and query in-process: each must end in 0..3, never a
+        # traceback.
+        rng = random.Random(2024)
+        clean = b">a one\nACGTACGTTGCA\nacgtAC\n>b\nGGGGCCCCAAAATTTT\n>c\r\nACGTTGCAACGT\r\n"
+        index = tmp_path / "base.dph"
+        assert run_cli("index", "--width", "16", "-o", str(index), _write(tmp_path, clean)) == 0
+        special = [0x80, 0xBF, 0xC3, 0xE2, 0xFF, ord("\r"), ord("\n"), ord(">"), ord(" "), ord("N")]
+        for trial in range(100):
+            data = bytearray(clean)
+            for _ in range(rng.randint(1, 3)):
+                byte = rng.choice(special) if rng.random() < 0.7 else rng.randrange(256)
+                at = rng.randrange(len(data) + 1)
+                kind = rng.choice(["flip", "insert", "truncate"])
+                if kind == "flip" and at < len(data):
+                    data[at] = byte
+                elif kind == "insert":
+                    data[at:at] = bytes([byte])
+                else:
+                    del data[at:]
+            fa = _write(tmp_path, bytes(data))
+            policy = ["--n-policy", rng.choice(["reject", "skip-record"])]
+            runs = [["hash", "--width", "16", *policy, fa],
+                    ["index", "--width", "16", *policy, "-o", str(tmp_path / "f.dph"), fa],
+                    ["index", "--width", "16", "--window", "8", "--step", "3", *policy,
+                     "-o", str(tmp_path / "w.dph"), fa],
+                    ["query", str(index), fa, "--top-k", "2", *policy]]
+            for argv in runs:
+                assert run_cli(*argv) in (0, 1, 2, 3), (trial, argv[0], bytes(data))
+            capsys.readouterr()
+
+
+def _write(tmp_path, data):
+    path = tmp_path / "fuzz.fa"
+    path.write_bytes(data)
+    return str(path)
 
 
 class TestSimulate:

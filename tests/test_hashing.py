@@ -1,6 +1,7 @@
 """Sign rule, bit selection, hash objects and Hamming comparison."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,6 +381,21 @@ class TestKernelProperty:
             singles = np.concatenate([hash_codes(codes[i:i + 1], strategy)
                                       for i in range(codes.shape[0])])
             assert np.array_equal(batch, singles)
+
+    @pytest.mark.parametrize("length,strategy,count", [
+        (100, BLOCK64, 20_000), (1000, ZIGZAG32, 2000), (10_000, BLOCK64, 100)])
+    def test_workspace_bounds_every_intermediate(self, length, strategy, count):
+        from dnaphash.hashing import _WORKSPACE_CELLS
+
+        codes = np.random.default_rng(length).integers(0, 4, size=(count, length), dtype=np.uint8)
+        hash_codes(codes[:1], strategy)  # the cached basis rows are not workspace
+        tracemalloc.start()
+        try:
+            out = hash_codes(codes, strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 1.5 * 8 * _WORKSPACE_CELLS
 
     def test_empty_batch(self):
         assert hash_codes(np.zeros((0, 100), dtype=np.uint8), BLOCK64).shape == (0, 8)

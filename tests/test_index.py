@@ -381,6 +381,43 @@ class TestSerialization:
         _save(_index_of(strat, [rec]), path)
         assert _load(path).ids[0] == "séq·Δ1"
 
+    @staticmethod
+    def _record_by_record(index):
+        """The file format written one record at a time: the reference layout."""
+        nbytes = (index.width + 7) // 8
+        body = struct.pack("<4sHHBBQ", b"DPH1", 1, index.width,
+                           ("block", "zigzag", "zigzag_skip_dc").index(index.strategy.kind),
+                           0, len(index))
+        for i, rid in enumerate(index.ids):
+            ident = rid.encode("utf-8")
+            body += struct.pack("<H", len(ident)) + ident
+            body += struct.pack("<I", int(index.source_len[i])) + index.hashes[i, :nbytes].tobytes()
+        return body + struct.pack("<I", zlib.crc32(body))
+
+    @pytest.mark.parametrize("alphabet", ["ab:0", "aé☃𝄞:"])
+    @pytest.mark.parametrize("width", [1, 9, 64, 65])
+    def test_layout_equals_record_by_record(self, alphabet, width):
+        rng = np.random.default_rng(width)
+        strategy = SelectionStrategy("zigzag", width)
+        n = 300
+        ids = [f"{i}" + "".join(rng.choice(list(alphabet), size=int(rng.integers(0, 12))))
+               for i in range(n)]
+        bits = rng.integers(0, 2, size=(n, width), dtype=np.uint8)
+        idx = HashIndex(strategy, ids, rng.integers(0, 2**32, size=n, dtype=np.uint32),
+                        dnaphash.index._pad_rows(np.packbits(bits, axis=1)))
+        assert index_bytes(idx) == self._record_by_record(idx)
+
+    @pytest.mark.parametrize("long_id", ["x" * 0x10000, "é" * 0x8000])
+    def test_too_long_id_is_rejected(self, long_id):
+        strat = SelectionStrategy("zigzag", 8)
+        fits = "y" * 0xFFFF
+        recs = [("a", PerceptualHash.from_bits([1] * 8, strat)),
+                (fits, PerceptualHash.from_bits([0] * 8, strat)),
+                (long_id, PerceptualHash.from_bits([1] * 8, strat))]
+        assert index_bytes(_index_of(strat, recs[:2]))  # 0xFFFF bytes still fit
+        with pytest.raises(ValueError, match=f"record id {long_id[:32]!r}... is too long"):
+            index_bytes(_index_of(strat, recs))
+
 
 class TestCorruption:
     def _blob(self, n=5):

@@ -1,13 +1,19 @@
 """Sequence validation, FASTA parsing and the pixel-matrix layout."""
 
+import logging
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import dnaphash.sequence
 from dnaphash import (
     BASE_TO_INTENSITY,
+    DnaPhashError,
     EmptyRecord,
     InvalidBase,
     MalformedFasta,
@@ -18,8 +24,9 @@ from dnaphash import (
     layout_matrix,
     matrix_dim,
     parse_fasta,
+    read_fasta,
 )
-from dnaphash.sequence import PAD_VALUE, bases_from_codes, codes_from_bases
+from dnaphash.sequence import PAD_VALUE, _stream_fasta, bases_from_codes, codes_from_bases
 
 
 class TestEncoding:
@@ -184,3 +191,134 @@ class TestFasta:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             parse_fasta(">s\nACGT\n", n_policy="mend")
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the type and text of the package error it raises."""
+    try:
+        return "ok", run()
+    except DnaPhashError as exc:
+        return type(exc), str(exc)
+
+
+def _streamed(path, n_policy, block):
+    with mock.patch.object(dnaphash.sequence, "_BLOCK_BYTES", block), \
+            open(path, "rb") as handle:
+        batches = list(_stream_fasta(handle, n_policy=n_policy))
+    for batch in batches:
+        assert batch.ids and len(batch.ids) == len(batch.lengths)
+        assert batch.lengths.sum() == batch.codes.size and batch.codes.dtype == np.uint8
+    return ([rid for b in batches for rid in b.ids],
+            [n for b in batches for n in b.lengths.tolist()],
+            b"".join(b.codes.tobytes() for b in batches))
+
+
+def _read(path, n_policy):
+    seqs = read_fasta(path, n_policy=n_policy)
+    return ([s.id for s in seqs], [len(s) for s in seqs],
+            codes_from_bases("".join(s.bases for s in seqs)).tobytes())
+
+
+def _body_lines(draw, bases):
+    """``bases`` cut into lines, some blank or padded with whitespace."""
+    lines, at = [], 0
+    wrap = draw(st.sampled_from([None, None, 1, 3, 7, 10]))
+    while at < len(bases) or not lines:
+        step = len(bases) - at if wrap is None else wrap
+        line = bases[at:at + step]
+        at += step
+        if draw(st.integers(0, 9)) == 0:
+            line = draw(st.sampled_from([" ", "\t", "  "])) + line + " "
+        lines.append(line.encode("utf-8", "surrogateescape"))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from([b"", b"  "])))
+        if at >= len(bases):
+            break
+    return lines
+
+
+@st.composite
+def fasta_bytes(draw):
+    """FASTA text meant to reach every branch of the streamed reader.
+
+    At most one part of the file (the text before the first header, or
+    one record) is faulty, so that most files reach their end.
+    """
+    count = draw(st.integers(0, 8))
+    fault = draw(st.integers(-1, 2 * count + 1))  # the faulty part, if in -1..count
+    lines = []
+    if draw(st.integers(0, 3)) == 0:  # text before the first header
+        pick = [b"ACGT", b"\xef\xbb\xbf", b"\xff"] if fault == -1 else [b"", b"  "]
+        lines += draw(st.lists(st.sampled_from(pick), min_size=1, max_size=2))
+    for i in range(count):
+        name = draw(st.sampled_from(["r", "r", "r", "é", "☃x", "s\x1cq"])) + str(i)
+        headers = [f">{name}", f">{name}", f">{name} some description", f"> {name}\t",
+                   f"  >{name}"]
+        symbols = ["ACGT", "ACGT", "acgtACGT", "ACGTN"]
+        sizes = [4, 5, 12, 40]
+        if i == fault:
+            part = draw(st.sampled_from(["header", "symbols", "size"]))
+            if part == "header":
+                headers = [">", ">  ", f">{name}\udcff", f">{name} \udcfe"]
+            elif part == "symbols":
+                symbols = ["ACG\udcff", "ACGT>"]
+            else:
+                sizes = [0, 2, 3]
+        lines.append(draw(st.sampled_from(headers)).encode("utf-8", "surrogateescape"))
+        size = draw(st.sampled_from(sizes))
+        bases = "".join(draw(st.lists(st.sampled_from(draw(st.sampled_from(symbols))),
+                                      min_size=size, max_size=size)))
+        lines += _body_lines(draw, bases)
+    ends = draw(st.sampled_from([[b"\n"], [b"\n"], [b"\r\n"], [b"\r"], [b"\n", b"\r\n", b"\r"]]))
+    out = b"".join(line + draw(st.sampled_from(ends)) for line in lines)
+    return out if draw(st.booleans()) else out.rstrip(b"\r\n")
+
+
+class TestStreamedReader:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=fasta_bytes(), block=st.integers(2, 48),
+           n_policy=st.sampled_from(["reject", "skip-record"]))
+    def test_agrees_with_read_fasta(self, tmp_path, caplog, data, block, n_policy):
+        path = tmp_path / "in.fa"
+        path.write_bytes(data)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="dnaphash.sequence"):
+            want = _outcome(lambda: _read(path, n_policy))
+        warned = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="dnaphash.sequence"):
+            got = _outcome(lambda: _streamed(path, n_policy, block))
+        assert got == want
+        assert [r.getMessage() for r in caplog.records] == warned
+
+    def test_record_longer_than_a_block_spans_cuts(self, tmp_path):
+        bases = "".join(random.Random(5).choices("ACGTacgt", k=3000))
+        text = ">a x\n" + "\n".join(bases[i:i + 61] for i in range(0, 3000, 61)) + "\n>b\nACGT\n"
+        path = tmp_path / "long.fa"
+        path.write_bytes(text.encode())
+        for block in (2, 7, 64, 4096):
+            assert _streamed(path, "reject", block) == _read(path, "reject")
+
+    def test_non_utf8_bytes_are_data_errors(self, tmp_path):
+        path = tmp_path / "bad.fa"
+        path.write_bytes(b">a\nAC\xffGT\n")
+        with pytest.raises(InvalidBase, match="in record 'a' at position 3"):
+            _streamed(path, "reject", 64)
+        path.write_bytes(b">a\nACGT\n>b\xff\nACGT\n")
+        with pytest.raises(MalformedFasta, match="line 3: header is not valid UTF-8"):
+            _streamed(path, "reject", 64)
+        path.write_bytes(b"\xff\n>a\nACGT\n")
+        with pytest.raises(MalformedFasta, match="line 1: sequence data before"):
+            _streamed(path, "reject", 64)
+
+    def test_clean_records_skip_the_line_parser(self, tmp_path):
+        path = tmp_path / "clean.fa"
+        path.write_bytes(b">a desc\r\nACGT\r\nacgt\r\n\r\n>b\nGGGGCCCC\n")
+        with mock.patch.object(dnaphash.sequence, "_parse_lines",
+                               side_effect=AssertionError("line parser used")), \
+                mock.patch.object(dnaphash.sequence, "_first_invalid",
+                                  side_effect=AssertionError("_first_invalid used")):
+            ids, lengths, codes = _streamed(path, "reject", 8)
+        assert (ids, lengths) == (["a", "b"], [8, 8])
+        assert codes == codes_from_bases("ACGTACGTGGGGCCCC").tobytes()
