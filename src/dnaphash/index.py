@@ -156,13 +156,9 @@ def _check_window(window: int, step: int) -> None:
         raise ValueError("step must be positive")
 
 
-def _offsets(rid: str, length: int, window: int, step: int) -> range:
-    """Window offsets in one sequence: none, with a warning, when it is shorter than the window."""
-    if length < window:
-        log.warning("sequence %r (%d bp) is shorter than the %d bp window; skipped",
-                    rid, length, window)
-        return range(0)
-    return range(0, length - window + 1, step)
+def _warn_short(rid: str, length: int, window: int) -> None:
+    log.warning("sequence %r (%d bp) is shorter than the %d bp window; skipped",
+                rid, length, window)
 
 
 def expand_windows(seqs: Iterable[Sequence], window: int, step: int) -> Iterable[Sequence]:
@@ -173,7 +169,10 @@ def expand_windows(seqs: Iterable[Sequence], window: int, step: int) -> Iterable
     """
     _check_window(window, step)
     for seq in seqs:
-        for off in _offsets(seq.id, len(seq), window, step):
+        if len(seq) < window:
+            _warn_short(seq.id, len(seq), window)
+            continue
+        for off in range(0, len(seq) - window + 1, step):
             yield Sequence(id=f"{seq.id}:{off}", bases=seq.bases[off:off + window])
 
 
@@ -203,8 +202,10 @@ def _build(batches: Iterable[_Batch], strategy: SelectionStrategy, *, window: in
     errors wait until every batch has been read, so that a bad record
     anywhere wins over them. They are, in order: the window arguments, an
     empty index, a record (or window) that ``strategy`` does not fit, and
-    a duplicate id. With ``workers`` above 1 the records are hashed in a
-    process pool once all of them are read.
+    a duplicate id. The warnings about parents shorter than the window
+    also come once every batch has been read, after those of the reader.
+    With ``workers`` above 1 the records are hashed in a process pool once
+    all of them are read.
     """
     if window is not None:
         step = window if step is None else step
@@ -220,6 +221,7 @@ def _build(batches: Iterable[_Batch], strategy: SelectionStrategy, *, window: in
     ids: list[str] = []
     lengths: list[np.ndarray] = []
     rows: list[np.ndarray] = []
+    short: list[tuple[str, int]] = []  # parents without a window, warned about at the end
     misfit = None
     for batch in batches:
         if window is None:
@@ -230,10 +232,11 @@ def _build(batches: Iterable[_Batch], strategy: SelectionStrategy, *, window: in
         else:
             start = 0
             for rid, length in zip(batch.ids, batch.lengths.tolist()):
-                offsets = _offsets(rid, length, window, step)
-                if offsets:
+                if length < window:
+                    short.append((rid, length))
+                else:
                     misfit = misfit or _misfit([f"{rid}:0"], [window], strategy)
-                    ids.extend(f"{rid}:{off}" for off in offsets)
+                    ids.extend(f"{rid}:{off}" for off in range(0, length - window + 1, step))
                     # One (windows, window) view of the parent's codes: no per-window copy.
                     parent = batch.codes[start:start + length]
                     args.append((sliding_window_view(parent, window)[::step],))
@@ -243,6 +246,8 @@ def _build(batches: Iterable[_Batch], strategy: SelectionStrategy, *, window: in
         elif workers == 1:
             rows.extend(task(*a, strategy) for a in args)
             args.clear()
+    for rid, length in short:
+        _warn_short(rid, length, window)
     if not ids:
         raise ValueError("nothing to index: no sequences (or no windows) supplied")
     if misfit is not None:

@@ -248,35 +248,24 @@ def _batch_of(seqs: list[Sequence]) -> _Batch:
                   codes_from_bases("".join(s.bases for s in seqs)))
 
 
-def _fasta_lines(data: bytes) -> list[str]:
-    """Undecoded FASTA text as the lines a text file gives (LF, CRLF or CR ends)."""
-    text = data.decode("utf-8", "surrogateescape")
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
-
-def _decoded_or_empty(data: bytes) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError:
-        return ""
-
-
 def _batch_of_text(data: bytes, first_line: int, n_policy: str) -> tuple[_Batch, int]:
     """The records in ``data`` (whole records, from a line start), and the next line number.
 
-    A record takes the fast path when its header decodes and has an id and
-    its body holds at least ``MIN_LENGTH`` bases, only A/C/G/T in either
-    case with LF or CRLF line ends: one ``bytes.translate`` checks and
-    encodes it. Every other record, and any text before a file's first
-    header, goes through :func:`_parse_lines` from its own line number, so
-    it is kept, skipped or raised exactly as :func:`read_fasta` would.
+    Line ends become LF first (CRLF and a lone CR end a line, as in a text
+    file). A record takes the fast path when its header decodes and has an
+    id and its lines hold at least ``MIN_LENGTH`` bases and nothing but
+    A/C/G/T in either case: one ``bytes.translate`` checks and encodes it.
+    Every other record, and any text before a file's first header, goes
+    through :func:`_parse_lines` from its own line number, so it is kept,
+    skipped or raised exactly as :func:`read_fasta` would.
     """
     ids: list[str] = []
     lengths: list[int] = []
     codes: list[bytes] = []
 
     def reparse(text: bytes, line: int) -> None:
-        for seq in _parse_lines(_fasta_lines(text), n_policy, line):
+        lines = text.decode("utf-8", "surrogateescape").split("\n")
+        for seq in _parse_lines(lines, n_policy, line):
             ids.append(seq.id)
             lengths.append(len(seq))
             codes.append(seq.bases.encode("ascii").translate(_FASTA_TO_CODE))
@@ -285,13 +274,9 @@ def _batch_of_text(data: bytes, first_line: int, n_policy: str) -> tuple[_Batch,
         return _Batch(ids, np.array(lengths, dtype=np.int64),
                       np.frombuffer(b"".join(codes), dtype=np.uint8))
 
-    carriage = data.count(b"\r")
-    lone_cr = carriage - data.count(b"\r\n") if carriage else 0
-    next_line = first_line + data.count(b"\n") + lone_cr
-    if lone_cr:  # a lone CR ends a line too; only the line parser splits there
-        reparse(data, first_line)
-        return batch(), next_line
-
+    if b"\r" in data:  # from here on every line ends in LF, as in a text file
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    next_line = first_line + data.count(b"\n")
     pieces = data.split(b"\n>")
     if pieces[0][:1] == b">":
         pieces[0] = pieces[0][1:]
@@ -304,13 +289,13 @@ def _batch_of_text(data: bytes, first_line: int, n_policy: str) -> tuple[_Batch,
         offset = len(prefix) + 2
 
     split = [piece.partition(b"\n") for piece in pieces]
-    body_codes = [body.translate(_FASTA_TO_CODE, b"\r\n") for _, _, body in split]
+    body_codes = [body.translate(_FASTA_TO_CODE, b"\n") for _, _, body in split]
     body_lengths = np.fromiter(map(len, body_codes), np.int64, len(body_codes))
     joined = b"".join(body_codes)
     try:
         heads = b"\n".join([head for head, _, _ in split]).decode("utf-8").split("\n")
-    except UnicodeDecodeError:  # the headers that do not decode get no id, so are reparsed
-        heads = [_decoded_or_empty(head) for head, _, _ in split]
+    except UnicodeDecodeError:  # no ids: every record is reparsed
+        heads = [""] * len(split)
     names = [(head.split(None, 1) or ("",))[0] for head in heads]
 
     bad = set(np.flatnonzero(body_lengths < MIN_LENGTH).tolist())
@@ -345,16 +330,17 @@ def _stream_fasta(handle: BinaryIO, *, n_policy: str = "reject") -> Iterator[_Ba
     """The records of a binary FASTA stream, a :class:`_Batch` at a time.
 
     Reads ``_BLOCK_BYTES`` at a time and cuts before the last header that
-    starts a line, so each batch holds whole records and a record longer
-    than a block is read whole. The records, errors and warnings are those
-    of :func:`read_fasta` on the same bytes, in the same order.
+    starts a line (after an LF or a lone CR), so each batch holds whole
+    records and a record longer than a block is read whole. The records,
+    errors and warnings are those of :func:`read_fasta` on the same bytes,
+    in the same order.
     """
     _check_policy(n_policy)
     line = 1
     pending: list[bytes] = []
     while True:
         block = handle.read(_BLOCK_BYTES)
-        cut = block.rfind(b"\n>") + 1
+        cut = max(block.rfind(b"\n>"), block.rfind(b"\r>")) + 1
         if block and not cut:
             pending.append(block)
             continue

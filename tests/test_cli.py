@@ -1,6 +1,7 @@
 """End-to-end command line behavior: outputs, exit codes, atomic writes."""
 
 import io
+import logging
 import os
 import random
 import stat
@@ -267,6 +268,21 @@ class TestIndexAndQuery:
         run_cli("index", corpus, "-o", idx, "--width", "64")
         assert run_cli("query", idx, corpus) == 1
 
+    def test_window_warnings_follow_the_reader_and_a_bad_record(self, tmp_path, caplog):
+        # Short parents are reported after the reader's warnings, as when
+        # the whole input was parsed first, and not at all when a record is bad.
+        fa = tmp_path / "w.fa"
+        fa.write_text(">short1\nACGTACGT\n>n1\nACGTN" + "A" * 20 + "\n>long1\n" + "ACGT" * 6
+                      + "\n>short2\nACGTA\n>n2\nN" + "C" * 20 + "\n")
+        args = ["index", "-o", str(tmp_path / "w.dph"), "--window", "16", "--width", "16"]
+        with caplog.at_level(logging.WARNING):
+            assert run_cli(*args, "--n-policy", "skip-record", str(fa)) == 0
+        assert [r.args[0] for r in caplog.records] == ["n1", "n2", "short1", "short2"]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert run_cli(*args, str(fa)) == 2
+        assert caplog.records == []
+
     def test_empty_corpus_exits_1(self, tmp_path):
         fa = tmp_path / "empty.fa"
         fa.write_text("")
@@ -301,7 +317,8 @@ class TestFuzzedFasta:
                     ["index", "--width", "16", *policy, "-o", str(tmp_path / "f.dph"), fa],
                     ["index", "--width", "16", "--window", "8", "--step", "3", *policy,
                      "-o", str(tmp_path / "w.dph"), fa],
-                    ["query", str(index), fa, "--top-k", "2", *policy]]
+                    ["query", str(index), fa, *rng.choice([["--top-k", "2"], ["--max-dist", "5"]]),
+                     *policy]]
             for argv in runs:
                 assert run_cli(*argv) in (0, 1, 2, 3), (trial, argv[0], bytes(data))
             capsys.readouterr()
