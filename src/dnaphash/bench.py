@@ -9,7 +9,6 @@ expected to reproduce across machines for a fixed seed.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -70,6 +69,7 @@ def run_bench(*, seq_len: int = 100, strategy: SelectionStrategy | None = None,
     chunk = max(64, min(8192, 6_000_000 // (dim * dim)))
     t0 = time.perf_counter()
     if workers > 1 and n > chunk:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(partial(hash_codes, strategy=strategy),
                              [codes[s:s + chunk] for s in range(0, n, chunk)])

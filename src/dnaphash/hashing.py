@@ -14,10 +14,12 @@ often than continuous inputs would (roughly one cell per six 4x4 layouts);
 a float transform renders those as noise of arbitrary sign, which would
 make the affected bits depend on the kernel and platform. Snapping them
 to zero applies the sign rule's zero branch the way exact arithmetic
-would. The band is safe on both sides: on constant matrices, the noise of
-:func:`hash_codes` stays below 6e-11 through dim 100 and below 5e-10
-through dim 3163 (10 Mbp), while the smallest genuinely nonzero
-coefficient observed for integer layouts is ~1e-4.
+would. The band is safe on both sides: on constant square matrices, the
+noise of :func:`hash_codes` in the cells of selections of up to 64 bits
+stays below 7e-12 through dim 100 and below 2e-10 at the dims sampled
+through 3163 (10 Mbp); for selections of up to 4096 bits it stays below
+8e-11 and 9e-10. The smallest genuinely nonzero coefficient observed for
+integer layouts is ~1e-4.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import SequenceTooShort, StrategyMismatch, StrategyTooLarge, WidthMismatch
-from .sequence import CODE_TO_INTENSITY, MIN_LENGTH, Sequence, codes_from_bases, matrix_dim
+from .sequence import MIN_LENGTH, Sequence, codes_from_bases, matrix_dim
 from .transform import basis_rows
 
 STRATEGY_KINDS = ("block", "zigzag", "zigzag_skip_dc")
@@ -110,13 +112,35 @@ class SelectionStrategy:
 
 @lru_cache(maxsize=256)
 def _selection_arrays(strategy: SelectionStrategy, dim: int):
-    """Selected rows/columns as index vectors, and the basis factors T[:r], T[:c].T."""
+    """Selected rows/columns as index vectors, and the kernel's factors 64·T[:r] and T[:c].T."""
     pos = strategy.positions(dim)
     rows = np.fromiter((p[0] for p in pos), dtype=np.intp, count=len(pos))
     cols = np.fromiter((p[1] for p in pos), dtype=np.intp, count=len(pos))
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols, basis_rows(dim, rows.max() + 1), basis_rows(dim, cols.max() + 1).T
+    scaled = 64.0 * basis_rows(dim, rows.max() + 1)
+    for a in (rows, cols, scaled):
+        a.flags.writeable = False
+    return rows, cols, scaled, basis_rows(dim, cols.max() + 1).T
+
+
+@lru_cache(maxsize=256)
+def _base_offset(strategy: SelectionStrategy, length: int) -> np.ndarray:
+    """The selected coefficients of 63 on each of ``length`` base cells, 0 on the pad cells.
+
+    A base cell holds 63 + 64·code, so a layout's selected coefficients are
+    those of 64·codes plus these. The first ``length // dim`` rows of that
+    matrix are full and the next holds ``length % dim`` cells, so its
+    transform takes row sums of T[:c].T, not a dim x dim matrix.
+    """
+    dim = matrix_dim(length)
+    rows, cols, scaled, right = _selection_arrays(strategy, dim)
+    left = basis_rows(dim, scaled.shape[0])
+    full, part = divmod(length, dim)
+    coeffs = np.outer(left[:, :full].sum(axis=1), 63.0 * right.sum(axis=0))
+    if part:
+        coeffs += np.outer(left[:, full], 63.0 * right[:part].sum(axis=0))
+    offset = coeffs[rows, cols]
+    offset.flags.writeable = False
+    return offset
 
 
 @dataclass(frozen=True)
@@ -224,8 +248,12 @@ def hash_codes(codes, strategy: SelectionStrategy) -> np.ndarray:
 
     Row b holds the bytes :func:`compute_hash` gives for ``codes[b]``. Only
     the coefficients the selection reads are computed, as ``T[:r] @ M @
-    T[:c].T``, in chunks whose float cells, intermediates included, stay
-    within ``_WORKSPACE_CELLS``.
+    T[:c].T``. A base cell of ``M`` holds 63 + 64·code, so the codes are
+    cast to floats as they are, multiplied by 64·T[:r], and the 63 comes
+    back as :func:`_base_offset`. Records are laid out in chunks whose
+    float cells, intermediates included, stay within ``_WORKSPACE_CELLS``.
+    A record whose matrix and first product alone outgrow that is laid out
+    a block of matrix rows at a time, and the blocks' products are summed.
     """
     codes = np.asarray(codes, dtype=np.uint8)
     if codes.ndim != 2:
@@ -233,21 +261,36 @@ def hash_codes(codes, strategy: SelectionStrategy) -> np.ndarray:
     count, length = codes.shape
     if length < MIN_LENGTH:
         raise SequenceTooShort(f"{length} bp cannot fill a {MIN_LENGTH}-cell matrix")
-    if codes.max(initial=0) > 3:
+    if codes.max(initial=0) > 3:  # the cast would take any byte
         raise ValueError("base codes must lie in 0..3")
     dim = matrix_dim(length)
-    rows, cols, left, right = _selection_arrays(strategy, dim)
+    rows, cols, scaled, right = _selection_arrays(strategy, dim)
+    offset = _base_offset(strategy, length)
     out = np.empty((count, (strategy.k + 7) // 8), dtype=np.uint8)
-    # Per row: the matrix, left @ matrix, its product with right, the selected cells.
-    r, c = len(left), right.shape[1]
-    chunk = max(1, _WORKSPACE_CELLS // (dim * dim + r * dim + r * c + strategy.k))
-    cells = np.zeros((min(chunk, count), dim * dim))  # pad cells stay 0
+    r, c = len(scaled), right.shape[1]
+    height = dim if dim * dim + r * dim <= _WORKSPACE_CELLS else max(1, _WORKSPACE_CELLS // dim)
+    # Per record: a block of rows, scaled @ matrix, its product with right, the selected cells.
+    chunk = max(1, _WORKSPACE_CELLS // (height * dim + r * dim + r * c + strategy.k))
+    cells = np.empty((min(chunk, count), height * dim))
     for start in range(0, count, chunk):
         part = codes[start:start + chunk]
         n = part.shape[0]
-        cells[:n, :length] = CODE_TO_INTENSITY[part]
-        coeffs = left @ cells[:n].reshape(n, dim, dim) @ right
-        out[start:start + n] = np.packbits(coeffs[:, rows, cols] > ZERO_TOL, axis=1)
+        for top in range(0, dim, height):
+            first = top * dim
+            if first >= length:  # rows of pad cells add nothing
+                break
+            h = min(height, dim - top)
+            stop = min(first + h * dim, length)
+            cells[:n, :stop - first] = part[:, first:stop]
+            cells[:n, stop - first:h * dim] = 0.0
+            term = scaled[:, top:top + h] @ cells[:n, :h * dim].reshape(n, h, dim)
+            if top:
+                product += term
+            else:
+                product = term
+        picked = (product @ right)[:, rows, cols]
+        picked += offset
+        out[start:start + n] = np.packbits(picked > ZERO_TOL, axis=1)
     return out
 
 
@@ -267,8 +310,8 @@ def _hash_records(lengths: np.ndarray, codes: np.ndarray, strategy: SelectionStr
 
     Record i is the ``lengths[i]`` codes after those of the records before
     it. Records of one length are hashed together: a run of them that is
-    contiguous is reshaped in place, the others are gathered a chunk at a
-    time. Check the fit with :func:`_misfit` first.
+    contiguous is reshaped in place, the others are stacked from their
+    slices a chunk at a time. Check the fit with :func:`_misfit` first.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
@@ -285,7 +328,7 @@ def _hash_records(lengths: np.ndarray, codes: np.ndarray, strategy: SelectionStr
             if part[-1] - part[0] + 1 == len(part):
                 rows = codes[first:first + len(part) * length].reshape(len(part), length)
             else:
-                rows = codes[starts[part][:, None] + np.arange(length)]
+                rows = np.stack([codes[s:s + length] for s in starts[part].tolist()])
             out[part] = hash_codes(rows, strategy)
     return out
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import struct
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import BinaryIO, Iterable
@@ -254,6 +253,7 @@ def _build(batches: Iterable[_Batch], strategy: SelectionStrategy, *, window: in
         raise misfit
 
     if len(ids) > _BUILD_CHUNK and args:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         chunks = [c for a in args for c in _chunks(a, _BUILD_CHUNK)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(partial(task, strategy=strategy), *zip(*chunks)))

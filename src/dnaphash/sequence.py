@@ -205,17 +205,17 @@ def parse_fasta(lines: Iterable[str], *, n_policy: str = "reject") -> list[Seque
     """Parse FASTA text into validated sequences, preserving input order.
 
     ``lines`` may be an open text file, any iterable of lines, or a single
-    string (split on newlines). Headers start with ``>``; the id is the
-    header text up to the first whitespace; wrapped sequence lines are
-    concatenated and upper-cased.
+    string (split at LF, CR and CRLF, as a file is read). Headers start
+    with ``>``; the id is the header text up to the first whitespace;
+    wrapped sequence lines are concatenated and upper-cased.
 
     ``n_policy`` decides what happens to records with symbols outside
     A/T/C/G: ``"reject"`` raises :class:`InvalidBase` (with the record id and
     1-based offset), ``"skip-record"`` drops the record with a warning.
     """
     _check_policy(n_policy)
-    if isinstance(lines, str):
-        lines = lines.splitlines()
+    if isinstance(lines, str):  # lines end where a text file's do: at LF, CR and CRLF
+        lines = lines.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return list(_parse_lines(lines, n_policy))
 
 

@@ -26,7 +26,6 @@ and consumes no draws.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterable, TextIO
@@ -226,6 +225,7 @@ def run_group(config: SimulationConfig, *, workers: int = 1,
     bounds = [(s, min(s + chunk, config.n_primary))
               for s in range(0, config.n_primary, chunk)]
     if workers > 1 and len(bounds) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         starts, stops = zip(*bounds)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(partial(_simulate_chunk, config), starts, stops))

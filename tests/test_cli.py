@@ -522,6 +522,21 @@ class TestModuleEntry:
         assert lines[2] == "a\ta\t0" and lines[3] == "b\tb\t0"
         assert (tmp_path / "sim.csv").read_text().startswith("group,")
 
+    def test_process_pool_is_imported_only_when_used(self):
+        # importing it loads multiprocessing, which every command would pay for at start-up
+        script = textwrap.dedent("""
+            import sys
+            import dnaphash.cli
+            print(sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
+        """)
+        src = os.path.dirname(os.path.dirname(dnaphash.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_console_script_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dnaphash", "--help"],

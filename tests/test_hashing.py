@@ -2,10 +2,12 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import dnaphash.hashing
 from dnaphash import (
     ZERO_TOL,
     PerceptualHash,
@@ -24,9 +26,10 @@ from dnaphash import (
     snap_zeros,
     zigzag_positions,
 )
-from dnaphash.hashing import MAX_WIDTH, STRATEGY_KINDS
-from dnaphash.sequence import codes_from_bases
+from dnaphash.hashing import MAX_WIDTH, STRATEGY_KINDS, _base_offset
+from dnaphash.sequence import CODE_TO_INTENSITY, codes_from_bases, matrix_dim
 from dnaphash.simulate import generate_sequence, sequence_rng
+from dnaphash.transform import basis_rows
 
 from reference_vectors import (
     FROZEN_256BP_BLOCK64_HEX,
@@ -344,28 +347,68 @@ def _widest_strategies(dim):
     )
 
 
+def _near_square_cases(dim):
+    """(codes, reference signs, contents) at near-square lengths that lay out at side ``dim``.
+
+    The lengths are one past the previous square, one short of this one,
+    and exactly this one. Constant and row-periodic layouts carry the
+    structural zeros the band must decide; one random layout per side (its
+    length rotates) keeps the O(N^4) oracle affordable.
+    """
+    lengths = sorted({max(4, (dim - 1) ** 2 + 1), max(4, dim * dim - 1), dim * dim})
+    rng = np.random.default_rng(dim)
+    row = ("ACGTTGCA" * dim)[:dim]
+    for i, length in enumerate(lengths):
+        contents = ["ATCG"[length % 4] * length, (row * (dim + 1))[:length]]
+        if i == dim % len(lengths):
+            contents.append("".join("ATCG"[c] for c in rng.integers(0, 4, length)))
+        codes = np.stack([codes_from_bases(b) for b in contents])
+        yield codes, [_reference_signs(b) for b in contents], contents
+
+
+def _assert_matches_reference(got, signs, contents, strategy):
+    for packed, sign, bases in zip(got, signs, contents):
+        assert packed.tobytes() == select_bits(sign, strategy).data, \
+            (len(bases), strategy, bases[:12])
+
+
 class TestKernelProperty:
     @pytest.mark.parametrize("dim", range(2, 65))
     def test_matches_reference_pipeline(self, dim):
-        # near-square lengths: one past the previous square, one short of
-        # this one, and exactly this one (all lay out at side ``dim``).
-        # Constant and row-periodic layouts carry the structural zeros the
-        # band must decide; one random layout per side (its length rotates)
-        # keeps the O(N^4) oracle affordable.
-        lengths = sorted({max(4, (dim - 1) ** 2 + 1), max(4, dim * dim - 1), dim * dim})
-        rng = np.random.default_rng(dim)
-        row = ("ACGTTGCA" * dim)[:dim]
-        for i, length in enumerate(lengths):
-            contents = ["ATCG"[length % 4] * length, (row * (dim + 1))[:length]]
-            if i == dim % len(lengths):
-                contents.append("".join("ATCG"[c] for c in rng.integers(0, 4, length)))
-            codes = np.stack([codes_from_bases(b) for b in contents])
-            signs = [_reference_signs(b) for b in contents]
+        for codes, signs, contents in _near_square_cases(dim):
             for strategy in _widest_strategies(dim):
-                got = hash_codes(codes, strategy)
-                for packed, sign, bases in zip(got, signs, contents):
-                    assert packed.tobytes() == select_bits(sign, strategy).data, \
-                        (dim, length, strategy, bases[:12])
+                _assert_matches_reference(hash_codes(codes, strategy), signs, contents, strategy)
+
+    @pytest.mark.parametrize("dim", range(2, 41))
+    def test_row_blocks_match_reference_pipeline(self, dim):
+        # A workspace smaller than one matrix sends every record through the
+        # row blocks; it holds blocks of 1, 2 and dim - 1 matrix rows.
+        for codes, signs, contents in _near_square_cases(dim):
+            for height in sorted({1, 2, dim - 1}):
+                with mock.patch.object(dnaphash.hashing, "_WORKSPACE_CELLS", height * dim):
+                    for strategy in _widest_strategies(dim):
+                        got = hash_codes(codes, strategy)
+                        _assert_matches_reference(got, signs, contents, strategy)
+
+    def test_gray_levels_are_affine_in_the_code(self):
+        # the kernel casts codes and adds the constant 63 back as an offset
+        assert CODE_TO_INTENSITY.tolist() == [63 + 64 * code for code in range(4)]
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 10, 33])
+    def test_base_offset_is_the_transform_of_63_on_base_cells(self, dim):
+        for length in (dim * dim - 1, dim * dim, dim * dim + 1):
+            if length < 4:
+                continue
+            side = matrix_dim(length)
+            m0 = np.zeros(side * side)
+            m0[:length] = 63
+            for strategy in _widest_strategies(side):
+                pos = strategy.positions(side)
+                rows, cols = [p[0] for p in pos], [p[1] for p in pos]
+                left, right = basis_rows(side, max(rows) + 1), basis_rows(side, max(cols) + 1).T
+                want = (left @ m0.reshape(side, side) @ right)[rows, cols]
+                got = _base_offset(strategy, length)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     def test_batch_equals_one_row_calls_across_chunks(self):
         # a side whose chunk holds a few rows, so the batch spans chunk ends
@@ -383,7 +426,10 @@ class TestKernelProperty:
             assert np.array_equal(batch, singles)
 
     @pytest.mark.parametrize("length,strategy,count", [
-        (100, BLOCK64, 20_000), (1000, ZIGZAG32, 2000), (10_000, BLOCK64, 100)])
+        (100, BLOCK64, 20_000), (1000, ZIGZAG32, 2000), (10_000, BLOCK64, 100),
+        # one record above the workspace is laid out a block of rows at a time
+        (1_000_000, BLOCK64, 1), (1_000_000, ZIGZAG32, 1),
+        (300_001, SelectionStrategy("zigzag_skip_dc", 100), 1)])
     def test_workspace_bounds_every_intermediate(self, length, strategy, count):
         from dnaphash.hashing import _WORKSPACE_CELLS
 

@@ -192,6 +192,16 @@ class TestFasta:
         with pytest.raises(ValueError):
             parse_fasta(">s\nACGT\n", n_policy="mend")
 
+    @pytest.mark.parametrize(
+        "sep", ["\x1c", "\x1d", "\x1e", "\x85", "\v", "\f", "\u2028", "\u2029"])
+    def test_string_lines_end_where_file_lines_end(self, tmp_path, sep):
+        # str.splitlines() also ends a line at each of these; a file only at LF, CR and CRLF
+        path = tmp_path / "in.fa"
+        for text in (f">a{sep}b\nACGT{sep}ACGT\n", f">a b{sep}\r\nACGT\r\nAC{sep}\rGT\n",
+                     f">a\nACGT\n{sep}\n>b\nACGT{sep}", f"{sep}>a\nACGT\n"):
+            path.write_bytes(text.encode("utf-8"))
+            assert _outcome(lambda: parse_fasta(text)) == _outcome(lambda: read_fasta(path))
+
 
 def _outcome(run):
     """What ``run()`` returns, or the type and text of the package error it raises."""
