@@ -23,7 +23,7 @@ import numpy as np
 from .bench import run_bench
 from .errors import DataError, IndexFormatError
 from .hashing import STRATEGY_KINDS, PerceptualHash, SelectionStrategy, _hash_records, _misfit
-from .index import _build, _range_rows, _topk_rows, load_index, save_index
+from .index import _build, _check_k, _range_rows, _topk_rows, load_index, save_index
 from .sequence import _Batch, _stream_fasta
 from .simulate import (
     DEFAULT_N_PRIMARY,
@@ -145,6 +145,7 @@ def _hash_fasta(paths: list[str], n_policy: str,
             rows.append(_hash_records(batch.lengths, batch.codes, strategy))
         ids.extend(batch.ids)
         lengths.append(batch.lengths)
+        del batch  # before the next read: a batch may hold one long record
     if misfit is not None:
         raise misfit
     return ids, np.concatenate(rows), np.concatenate(lengths)
@@ -180,16 +181,16 @@ def cmd_query(args) -> int:
     with open(args.index, "rb") as handle:
         index = load_index(handle)
     probes, rows, lengths = _hash_fasta([args.fasta], args.n_policy, index.strategy)
+    if args.top_k is not None:
+        _check_k(index, args.top_k)
+    elif not 0 <= args.max_dist <= index.width:
+        raise UsageError(f"--max-dist must be within 0..{index.width}, got {args.max_dist}")
     ids = index.ids
     for pid, row, length in zip(probes, rows, lengths.tolist()):
         probe = PerceptualHash(row.tobytes(), index.strategy, source_len=length)
         if args.top_k is not None:
             hits, dist = _topk_rows(index, probe, args.top_k)
         else:
-            if not 0 <= args.max_dist <= index.width:
-                raise UsageError(
-                    f"--max-dist must be within 0..{index.width}, got {args.max_dist}"
-                )
             hits, dist = _range_rows(index, probe, args.max_dist)
         prefix = f"{pid}\t"
         sys.stdout.write("".join([f"{prefix}{ids[i]}\t{d}\n"

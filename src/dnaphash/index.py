@@ -144,6 +144,18 @@ class HashIndex:
         rank[order] = np.arange(len(order))
         return rank
 
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        """``hashes`` as read-only uint64[words, N]: row j holds word j of every record.
+
+        Computed on first use. For a hash of at most 64 bits this is a view
+        of ``hashes``; a wider one takes one transposed copy, 8 bytes per
+        word per record. The scan reads one contiguous row per word.
+        """
+        columns = np.ascontiguousarray(self.hashes.view(np.uint64).T)
+        columns.flags.writeable = False
+        return columns
+
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -237,14 +249,15 @@ def _build(batches: Iterable[_Batch], strategy: SelectionStrategy, *, window: in
                     misfit = misfit or _misfit([f"{rid}:0"], [window], strategy)
                     ids.extend(f"{rid}:{off}" for off in range(0, length - window + 1, step))
                     # One (windows, window) view of the parent's codes: no per-window copy.
-                    parent = batch.codes[start:start + length]
-                    args.append((sliding_window_view(parent, window)[::step],))
+                    args.append((sliding_window_view(batch.codes[start:start + length],
+                                                     window)[::step],))
                 start += length
         if misfit is not None:
             args.clear()
         elif workers == 1:
             rows.extend(task(*a, strategy) for a in args)
             args.clear()
+        del batch  # before the next read: a batch may hold one long record
     for rid, length in short:
         _warn_short(rid, length, window)
     if not ids:
@@ -285,12 +298,24 @@ def _check_compatible(index: HashIndex, probe: PerceptualHash) -> None:
         )
 
 
+def _check_k(index: HashIndex, k: int) -> None:
+    if not 1 <= k <= len(index):
+        raise KOutOfRange(f"k must be within 1..{len(index)}, got {k}")
+
+
 def _distances(index: HashIndex, probe: PerceptualHash) -> np.ndarray:
-    """Hamming distance from a compatible ``probe`` to every record, as uint64[N]."""
-    q = np.zeros(index.hashes.shape[1], dtype=np.uint8)
-    q[:len(probe.data)] = np.frombuffer(probe.data, dtype=np.uint8)
-    words = index.hashes.view(np.uint64)
-    return np.bitwise_count(words ^ q.view(np.uint64)).sum(axis=1)
+    """Hamming distance from a compatible ``probe`` to every record, as uint16[N].
+
+    uint16 holds the largest distance, 4096 bits, and selects fastest: on a
+    2-core Xeon with numpy 2.4.6, ``np.partition`` of 20k distances took
+    about 11 µs as uint16, against 31 µs as uint64 and 117 µs as uint8.
+    """
+    q = np.frombuffer(probe.data.ljust(index.hashes.shape[1], b"\0"), dtype=np.uint64)
+    columns = index._columns
+    dist = np.bitwise_count(columns[0] ^ q[0]).astype(np.uint16)
+    for column, word in zip(columns[1:], q[1:]):
+        dist += np.bitwise_count(column ^ word)
+    return dist
 
 
 def _ranked(index: HashIndex, rows: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -317,8 +342,7 @@ def _range_rows(index: HashIndex, probe: PerceptualHash,
 def _topk_rows(index: HashIndex, probe: PerceptualHash, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows of :func:`query_topk`'s hits, in its order, and every record's distance."""
     _check_compatible(index, probe)
-    if not 1 <= k <= len(index):
-        raise KOutOfRange(f"k must be within 1..{len(index)}, got {k}")
+    _check_k(index, k)
     dist = _distances(index, probe)
     # Every record at the kth distance is a candidate, so the id tie-break
     # picks among all of them, exactly as a full sort would.

@@ -351,5 +351,6 @@ def _stream_fasta(handle: BinaryIO, *, n_policy: str = "reject") -> Iterator[_Ba
             batch, line = _batch_of_text(data, line, n_policy)
             if batch.ids:
                 yield batch
+            del batch  # before the next read: a batch may hold one long record
         if not block:
             return

@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -119,6 +120,30 @@ class TestHash:
         assert "in record 'a' at position 3" in capsys.readouterr().err
         assert run_cli("hash", "--width", "4", str(bad_header)) == 2
         assert "line 3: header is not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["hash"], ["index", "-o", "-", "--width", "32", "--window", "1000"]])
+    def test_long_records_are_held_one_at_a_time(self, command, tmp_path, capsysbinary):
+        # A record's codes are dropped before the next record is read, so
+        # several long records peak about as high as one of them.
+        length = 2_000_000
+        assert length > dnaphash.sequence._BLOCK_BYTES
+        rng = np.random.default_rng(8)
+        records = [(f"r{i}", "".join(rng.choice(list("ACGT"), size=length))) for i in range(4)]
+        one = write_fasta(tmp_path / "one.fa", records[:1])
+        several = write_fasta(tmp_path / "several.fa", records)
+        assert run_cli(*command, one) == 0  # the kernel's cached factors are not per record
+
+        def peak(path):
+            tracemalloc.start()
+            try:
+                assert run_cli(*command, path) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsysbinary.readouterr()
+
+        assert peak(several) < peak(one) + length / 2
 
     def test_missing_file_exits_3(self, tmp_path):
         assert run_cli("hash", str(tmp_path / "nope.fa")) == 3
@@ -257,6 +282,17 @@ class TestIndexAndQuery:
         idx = str(tmp_path / "c.dph")
         run_cli("index", corpus, "-o", idx, "--width", "64")
         assert run_cli("query", idx, corpus, "--max-dist", "65") == 1
+
+    def test_query_flags_checked_without_probes(self, corpus, tmp_path, capsys):
+        idx = str(tmp_path / "c.dph")
+        run_cli("index", corpus, "-o", idx, "--width", "64")
+        empty = tmp_path / "empty.fa"
+        empty.write_text("")
+        capsys.readouterr()
+        assert run_cli("query", idx, str(empty), "--max-dist", "999") == 1
+        assert "--max-dist must be within 0..64, got 999" in capsys.readouterr().err
+        assert run_cli("query", idx, str(empty), "--top-k", "0") == 2
+        assert "k must be within 1..5, got 0" in capsys.readouterr().err
 
     def test_both_query_modes_exits_1(self, corpus, tmp_path):
         idx = str(tmp_path / "c.dph")

@@ -255,6 +255,14 @@ class TestQuery:
             ("alpha", 0), ("mid", 0), ("zeta", 0)
         ]
 
+    @pytest.mark.parametrize("width,copied", [(32, False), (64, False), (100, True)])
+    def test_scan_copies_only_hashes_wider_than_a_word(self, width, copied):
+        idx = _random_index(20, SelectionStrategy("zigzag", width), seed=3)
+        columns = idx._columns
+        assert np.shares_memory(columns, idx.hashes) != copied
+        assert not columns.flags.writeable
+        assert np.array_equal(columns.T, idx.hashes.view(np.uint64))
+
     def test_self_query_distance_zero(self):
         idx = _random_index(50, BLOCK64, seed=2, length=256)
         for rid, h in _records(idx)[:10]:
@@ -526,7 +534,7 @@ class TestCorruption:
         assert outcomes["loaded"] > 0 and outcomes["rejected"] > 0
 
 
-_POOL_STRATEGIES = [SelectionStrategy("zigzag", k) for k in (1, 12, 32, 100, 256)] + \
+_POOL_STRATEGIES = [SelectionStrategy("zigzag", k) for k in (1, 12, 32, 100, 256, 4096)] + \
                    [SelectionStrategy("block", k) for k in (64, 100, 256)]
 
 
