@@ -33,6 +33,7 @@ K = 10
 PROBES = 64
 MIN_SECONDS = 2.0
 MIN_SAMPLES = 21
+SEED = 0
 
 
 def _random_rows(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
@@ -73,8 +74,8 @@ def _cpu_model() -> str:
     return platform.processor()
 
 
-def run(seed: int) -> dict:
-    rng = np.random.default_rng(seed)
+def run() -> dict:
+    rng = np.random.default_rng(SEED)
     results = []
     for n in ROWS:
         ids = tuple(f"r{i}" for i in range(n))
@@ -98,7 +99,7 @@ def run(seed: int) -> dict:
     return {
         "benchmark": "scan",
         "command": "PYTHONPATH=src python3 tools/bench_scan.py",
-        "seed": seed,
+        "seed": SEED,
         "k": K,
         "probes": PROBES,
         "min_seconds": MIN_SECONDS,
@@ -117,9 +118,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("-o", "--output", default="BENCH_scan.json",
                         help="JSON file to write (default BENCH_scan.json)")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     args = parser.parse_args(argv)
-    report = run(seed=args.seed)
+    report = run()
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
