@@ -23,7 +23,16 @@ import numpy as np
 from .bench import run_bench
 from .errors import DataError, IndexFormatError
 from .hashing import STRATEGY_KINDS, PerceptualHash, SelectionStrategy, _hash_records, _misfit
-from .index import _build, _check_k, _range_rows, _topk_rows, load_index, save_index
+from .index import (
+    HashIndex,
+    _build,
+    _check_k,
+    _gather_ids,
+    _range_rows,
+    _topk_rows,
+    load_index,
+    save_index,
+)
 from .sequence import _Batch, _stream_fasta
 from .simulate import (
     DEFAULT_N_PRIMARY,
@@ -95,7 +104,8 @@ def _atomic_write(path: str | None, *, binary: bool = False):
         yield sys.stdout.buffer if binary else sys.stdout
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dnaphash-", suffix=".tmp")
+    with _naming(path):
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dnaphash-", suffix=".tmp")
     try:
         umask = os.umask(0)
         os.umask(umask)
@@ -104,7 +114,8 @@ def _atomic_write(path: str | None, *, binary: bool = False):
             yield handle
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        with _naming(path):
+            os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
@@ -114,6 +125,15 @@ def _atomic_write(path: str | None, *, binary: bool = False):
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
+
+
+@contextlib.contextmanager
+def _naming(path: str):
+    """Re-raise an OSError as naming ``path``, not the hidden temp file behind it."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _batches(paths: list[str], n_policy: str) -> Iterator[_Batch]:
@@ -185,17 +205,33 @@ def cmd_query(args) -> int:
         _check_k(index, args.top_k)
     elif not 0 <= args.max_dist <= index.width:
         raise UsageError(f"--max-dist must be within 0..{index.width}, got {args.max_dist}")
-    ids = index.ids
     for pid, row, length in zip(probes, rows, lengths.tolist()):
         probe = PerceptualHash(row.tobytes(), index.strategy, source_len=length)
         if args.top_k is not None:
             hits, dist = _topk_rows(index, probe, args.top_k)
         else:
             hits, dist = _range_rows(index, probe, args.max_dist)
-        prefix = f"{pid}\t"
-        sys.stdout.write("".join([f"{prefix}{ids[i]}\t{d}\n"
-                                  for i, d in zip(hits.tolist(), dist[hits].tolist())]))
+        sys.stdout.write(_hit_lines(pid, index, hits, dist))
     return EXIT_OK
+
+
+def _hit_lines(pid: str, index: HashIndex, hits: np.ndarray, dist: np.ndarray) -> str:
+    """One ``probe<TAB>id<TAB>distance`` line per hit, in the order of ``hits``.
+
+    Hits come closest first, so they form runs of equal distance; each run
+    is written by one join over its gathered ids.
+    """
+    if not hits.size:
+        return ""
+    d = dist[hits]
+    bounds = [0, *(np.flatnonzero(d[1:] != d[:-1]) + 1).tolist(), len(hits)]
+    rows = hits.tolist()
+    prefix = f"{pid}\t"
+    text = []
+    for start, end, distance in zip(bounds, bounds[1:], d[bounds[:-1]].tolist()):
+        tail = f"\t{distance}\n"
+        text.append(prefix + (tail + prefix).join(_gather_ids(index, rows[start:end])) + tail)
+    return "".join(text)
 
 
 def _simulation_config(args) -> SimulationConfig:

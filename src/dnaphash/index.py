@@ -18,6 +18,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import itemgetter
 from typing import BinaryIO, Iterable
 
 import numpy as np
@@ -323,10 +324,16 @@ def _ranked(index: HashIndex, rows: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return rows[np.lexsort((index._id_rank[rows], dist[rows]))]
 
 
+def _gather_ids(index: HashIndex, rows: list[int]) -> tuple[str, ...]:
+    """The ids of the given rows, in their order, gathered at C level."""
+    if len(rows) < 2:  # itemgetter of one row returns the bare id, of none fails
+        return tuple(index.ids[i] for i in rows)
+    return itemgetter(*rows)(index.ids)
+
+
 def _hits(index: HashIndex, rows: np.ndarray, dist: np.ndarray) -> list[tuple[str, int]]:
     """(id, distance) for the given rows, in their order."""
-    ids = index.ids
-    return [(ids[i], d) for i, d in zip(rows.tolist(), dist[rows].tolist())]
+    return list(zip(_gather_ids(index, rows.tolist()), dist[rows].tolist()))
 
 
 def _range_rows(index: HashIndex, probe: PerceptualHash,

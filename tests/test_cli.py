@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import dnaphash
-from dnaphash import SelectionStrategy, Sequence, compute_hash, load_index
+from dnaphash import SelectionStrategy, Sequence, compute_hash, load_index, query, query_topk
 from dnaphash.cli import _atomic_write, main
 
 pytestmark = pytest.mark.usefixtures("clean_workers_env")
@@ -294,6 +294,45 @@ class TestIndexAndQuery:
         assert run_cli("query", idx, str(empty), "--top-k", "0") == 2
         assert "k must be within 1..5, got 0" in capsys.readouterr().err
 
+    def test_output_equals_library_results(self, tmp_path, capsys):
+        # Windows of periodic parents tie in runs of many equal distances,
+        # with ids whose str order is not their offset order ("chr:16" before
+        # "chr:8"); one parent and two probes have non-ASCII ids.
+        rng = np.random.default_rng(3)
+        rand = "".join(rng.choice(list("ACGT"), size=300))
+        corpus = write_fasta(tmp_path / "c.fa", [
+            ("chr", "ACGTTGCA" * 40), ("染色体", rand), ("z", "GGTTAACC" * 40)])
+        probes = [("tie", "ACGTTGCA" * 8), ("none", "ACGTTGCA" * 4 + "ACGTAGCA" + "ACGTTGCA" * 3),
+                  ("const", "A" * 64), ("é", rand[5:69])]
+        probe_fa = write_fasta(tmp_path / "p.fa", probes)
+        idx = str(tmp_path / "c.dph")
+        assert run_cli("index", corpus, "-o", idx, "--width", "32", "--window", "64",
+                       "--step", "1") == 0
+        with open(idx, "rb") as fh:
+            index = load_index(fh)
+        hashes = {pid: compute_hash(Sequence(pid, bases), index.strategy) for pid, bases in probes}
+        results = {}
+        for flag, value, search in (("--max-dist", 4, query), ("--top-k", 40, query_topk)):
+            capsys.readouterr()
+            assert run_cli("query", idx, probe_fa, flag, str(value)) == 0
+            results[flag] = {pid: search(index, h, value) for pid, h in hashes.items()}
+            assert capsys.readouterr().out == "".join(
+                f"{pid}\t{rid}\t{d}\n" for pid, _ in probes for rid, d in results[flag][pid])
+        # What the comparison has to cover:
+        for hits in (h for by_probe in results.values() for h in by_probe.values()):
+            assert hits == sorted(hits, key=lambda hit: (hit[1], hit[0]))
+        in_range = results["--max-dist"]
+        assert in_range["none"] == []
+        for pid in ("tie", "const"):  # several distances, each tied many times
+            runs = {d: [rid for rid, dd in in_range[pid] if dd == d] for _, d in in_range[pid]}
+            assert len(runs) >= 3 and min(map(len, runs.values())) >= 10
+        zero = [rid for rid, d in in_range["tie"] if d == 0]
+        assert zero.index("chr:16") < zero.index("chr:8")
+        assert any(not rid.isascii() for rid, _ in in_range["é"] + results["--top-k"]["é"])
+        everything = query(index, hashes["tie"], index.width)
+        assert everything[39][1] == everything[40][1]  # --top-k 40 cuts inside a run
+        assert results["--top-k"]["tie"] == everything[:40]
+
     def test_both_query_modes_exits_1(self, corpus, tmp_path):
         idx = str(tmp_path / "c.dph")
         run_cli("index", corpus, "-o", idx, "--width", "64")
@@ -505,6 +544,21 @@ class TestAtomicWrites:
         finally:
             os.umask(old)
         assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+    def test_missing_directory_names_the_path(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        assert run_cli("simulate", "--group", "A", "-n", "10", "-o", str(target)) == 3
+        err = capsys.readouterr().err
+        assert f"No such file or directory: '{target}'" in err and ".dnaphash-" not in err
+        assert os.listdir(tmp_path) == []
+
+    def test_directory_target_names_the_path(self, tmp_path, small_fasta, capsys):
+        target = tmp_path / "out"
+        target.mkdir()
+        assert run_cli("index", small_fasta, "-o", str(target), "--width", "16") == 3
+        err = capsys.readouterr().err
+        assert f"Is a directory: '{target}'" in err and ".dnaphash-" not in err
+        assert sorted(os.listdir(tmp_path)) == ["in.fa", "out"] and os.listdir(target) == []
 
     def test_simulate_failure_preserves_existing_file(self, tmp_path):
         out = tmp_path / "h.csv"
