@@ -297,7 +297,7 @@ class TestIndexAndQuery:
     def test_output_equals_library_results(self, tmp_path, capsys):
         # Windows of periodic parents tie in runs of many equal distances,
         # with ids whose str order is not their offset order ("chr:16" before
-        # "chr:8"); one parent and two probes have non-ASCII ids.
+        # "chr:8"); one parent and one probe have non-ASCII ids.
         rng = np.random.default_rng(3)
         rand = "".join(rng.choice(list("ACGT"), size=300))
         corpus = write_fasta(tmp_path / "c.fa", [
