@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -26,7 +25,6 @@ class BenchReport:
     n: int
     seq_len: int
     strategy: SelectionStrategy
-    workers: int
     generation_seconds: float
     hashing_seconds: float
     bits_set: int  # popcount over every produced hash; deterministic per seed
@@ -46,11 +44,11 @@ class BenchReport:
 
 
 def run_bench(*, seq_len: int = 100, strategy: SelectionStrategy | None = None,
-              n: int = 100_000, seed: int = 0, workers: int = 1) -> BenchReport:
+              n: int = 100_000, seed: int = 0) -> BenchReport:
     """Generate ``n`` random sequences, hash them all, time both phases.
 
     Generation draws every base from one seeded stream; hashing is one
-    :func:`hash_codes` call, or one per chunk across ``workers`` processes.
+    :func:`hash_codes` call.
     """
     if seq_len < MIN_LENGTH:
         raise ValueError(f"seq_len must be at least {MIN_LENGTH}")
@@ -58,31 +56,21 @@ def run_bench(*, seq_len: int = 100, strategy: SelectionStrategy | None = None,
         raise ValueError("n must be positive")
     if strategy is None:
         strategy = SelectionStrategy("block", 64)
-    dim = matrix_dim(seq_len)
-    strategy.positions(dim)  # surface StrategyTooLarge before timing anything
+    strategy.positions(matrix_dim(seq_len))  # surface StrategyTooLarge before timing anything
 
     rng = sequence_rng(seed, 0)
     t0 = time.perf_counter()
     codes = rng.integers(0, 4, size=(n, seq_len), dtype=np.uint8)
     generation_seconds = time.perf_counter() - t0
 
-    chunk = max(64, min(8192, 6_000_000 // (dim * dim)))
     t0 = time.perf_counter()
-    if workers > 1 and n > chunk:
-        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(partial(hash_codes, strategy=strategy),
-                             [codes[s:s + chunk] for s in range(0, n, chunk)])
-            packed = np.concatenate(list(parts))
-    else:
-        packed = hash_codes(codes, strategy)
+    packed = hash_codes(codes, strategy)
     hashing_seconds = time.perf_counter() - t0
 
     return BenchReport(
         n=n,
         seq_len=seq_len,
         strategy=strategy,
-        workers=workers,
         generation_seconds=generation_seconds,
         hashing_seconds=hashing_seconds,
         bits_set=int(np.bitwise_count(packed).sum()),

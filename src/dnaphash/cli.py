@@ -22,7 +22,7 @@ import numpy as np
 
 from .bench import run_bench
 from .errors import DataError, IndexFormatError
-from .hashing import STRATEGY_KINDS, PerceptualHash, SelectionStrategy, _hash_records, _misfit
+from .hashing import STRATEGY_KINDS, PerceptualHash, SelectionStrategy, _hash_batches
 from .index import (
     HashIndex,
     _build,
@@ -30,8 +30,8 @@ from .index import (
     _gather_ids,
     _range_rows,
     _topk_rows,
+    index_bytes,
     load_index,
-    save_index,
 )
 from .sequence import _Batch, _stream_fasta
 from .simulate import (
@@ -148,32 +148,9 @@ def _batches(paths: list[str], n_policy: str) -> Iterator[_Batch]:
                 yield from _stream_fasta(handle, n_policy=n_policy)
 
 
-def _hash_fasta(paths: list[str], n_policy: str,
-                strategy: SelectionStrategy) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Ids, packed hash rows and lengths of every record, each batch hashed as it is read.
-
-    A record the strategy does not fit is reported only once all the input
-    has been read, so that a bad record anywhere wins over it.
-    """
-    ids: list[str] = []
-    rows: list[np.ndarray] = [np.empty((0, (strategy.k + 7) // 8), dtype=np.uint8)]
-    lengths: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    misfit = None
-    for batch in _batches(paths, n_policy):
-        misfit = misfit or _misfit(batch.ids, batch.lengths, strategy)
-        if misfit is None:
-            rows.append(_hash_records(batch.lengths, batch.codes, strategy))
-        ids.extend(batch.ids)
-        lengths.append(batch.lengths)
-        del batch  # before the next read: a batch may hold one long record
-    if misfit is not None:
-        raise misfit
-    return ids, np.concatenate(rows), np.concatenate(lengths)
-
-
 def cmd_hash(args) -> int:
     strategy = _strategy(args)
-    ids, rows, _ = _hash_fasta(args.fasta, args.n_policy, strategy)
+    ids, rows, _ = _hash_batches(_batches(args.fasta, args.n_policy), strategy)
     digits = (strategy.k + 3) // 4
     hexes = rows.tobytes().hex()
     sys.stdout.write("".join([f"{rid}\t{hexes[at:at + digits]}\n"
@@ -183,16 +160,19 @@ def cmd_hash(args) -> int:
 
 def cmd_index(args) -> int:
     strategy = _strategy(args)
-    workers = _resolve_workers(args.workers)
     if args.step is not None and args.window is None:
         raise UsageError("--step only makes sense together with --window")
     try:
         index = _build(_batches(args.fasta, args.n_policy), strategy, window=args.window,
-                       step=args.step, workers=workers)
+                       step=args.step)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    try:
+        data = index_bytes(index)
+    except ValueError as exc:  # an id too long for the file format
+        raise DataError(str(exc)) from None
     with _atomic_write(args.output, binary=True) as sink:
-        save_index(index, sink)
+        sink.write(data)
     log.info("indexed %d records into %s", len(index), args.output)
     return EXIT_OK
 
@@ -200,7 +180,7 @@ def cmd_index(args) -> int:
 def cmd_query(args) -> int:
     with open(args.index, "rb") as handle:
         index = load_index(handle)
-    probes, rows, lengths = _hash_fasta([args.fasta], args.n_policy, index.strategy)
+    probes, rows, lengths = _hash_batches(_batches([args.fasta], args.n_policy), index.strategy)
     if args.top_k is not None:
         _check_k(index, args.top_k)
     elif not 0 <= args.max_dist <= index.width:
@@ -276,17 +256,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_bench(args) -> int:
     strategy = _strategy(args)
-    workers = _resolve_workers(args.workers)
     try:
-        report = run_bench(seq_len=args.len, strategy=strategy, n=args.n,
-                           seed=args.seed, workers=workers)
+        report = run_bench(seq_len=args.len, strategy=strategy, n=args.n, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     print(f"sequences        {report.n}")
     print(f"sequence_length  {report.seq_len}")
     print(f"hash_width       {report.strategy.k}")
     print(f"strategy         {report.strategy.kind}")
-    print(f"workers          {report.workers}")
     print(f"generation       {report.generation_seconds:.3f} s"
           f"  ({report.generation_rate:,.0f} seq/s)")
     print(f"hashing          {report.hashing_seconds:.3f} s"
@@ -330,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index fixed-size windows of each sequence instead of whole records")
     p.add_argument("--step", type=int, default=None,
                    help="window start spacing (default: the window size)")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"hashing processes (default ${WORKERS_ENV} or 1)")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("query", help="look up FASTA records in an index")
@@ -371,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=100_000,
                    help="sequences to hash (default 100000)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"hashing processes (default ${WORKERS_ENV} or 1)")
     p.set_defaults(func=cmd_bench)
 
     return parser

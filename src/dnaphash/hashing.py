@@ -28,12 +28,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import SequenceTooShort, StrategyMismatch, StrategyTooLarge, WidthMismatch
-from .sequence import MIN_LENGTH, Sequence, codes_from_bases, matrix_dim
+from .sequence import MIN_LENGTH, Sequence, _Batch, codes_from_bases, matrix_dim
 from .transform import basis_rows
 
 STRATEGY_KINDS = ("block", "zigzag", "zigzag_skip_dc")
@@ -331,6 +331,30 @@ def _hash_records(lengths: np.ndarray, codes: np.ndarray, strategy: SelectionStr
                 rows = np.stack([codes[s:s + length] for s in starts[part].tolist()])
             out[part] = hash_codes(rows, strategy)
     return out
+
+
+def _hash_batches(batches: Iterable[_Batch],
+                  strategy: SelectionStrategy) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Ids, packed hash rows and lengths of every record, each batch hashed as it is read.
+
+    An error in a record comes from ``batches`` when it is read. A record
+    the strategy does not fit is reported only once every batch has been
+    read, so that a bad record anywhere wins over it.
+    """
+    ids: list[str] = []
+    rows: list[np.ndarray] = [np.empty((0, (strategy.k + 7) // 8), dtype=np.uint8)]
+    lengths: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    misfit = None
+    for batch in batches:
+        misfit = misfit or _misfit(batch.ids, batch.lengths, strategy)
+        if misfit is None:
+            rows.append(_hash_records(batch.lengths, batch.codes, strategy))
+        ids.extend(batch.ids)
+        lengths.append(batch.lengths)
+        del batch  # before the next read: a batch may hold one long record
+    if misfit is not None:
+        raise misfit
+    return ids, np.concatenate(rows), np.concatenate(lengths)
 
 
 def compute_hash(seq: Sequence, strategy: SelectionStrategy) -> PerceptualHash:

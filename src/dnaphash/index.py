@@ -17,7 +17,7 @@ import logging
 import struct
 import zlib
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from operator import itemgetter
 from typing import BinaryIO, Iterable
 
@@ -39,7 +39,7 @@ from .hashing import (
     STRATEGY_KINDS,
     PerceptualHash,
     SelectionStrategy,
-    _hash_records,
+    _hash_batches,
     _misfit,
     hash_codes,
 )
@@ -54,9 +54,6 @@ _HEADER = struct.Struct("<4sHHBBQ")
 _ID_LEN = struct.Struct("<H")
 _SOURCE_LEN = struct.Struct("<I")
 _CRC = struct.Struct("<I")
-
-# Sequences (or window rows) per task when hashing across processes.
-_BUILD_CHUNK = 512
 
 
 def _pad_rows(rows: np.ndarray) -> np.ndarray:
@@ -194,20 +191,19 @@ def build_index(
     *,
     window: int | None = None,
     step: int | None = None,
-    workers: int = 1,
 ) -> HashIndex:
     """Hash every sequence (or every window of it) into a fresh index.
 
-    Record order follows input order regardless of ``workers``. With
-    ``window`` set, the records are the windows :func:`expand_windows`
-    yields (``step`` defaults to the window size, i.e. non-overlapping),
-    hashed straight from each parent's base codes.
+    Record order follows input order. With ``window`` set, the records are
+    the windows :func:`expand_windows` yields (``step`` defaults to the
+    window size, i.e. non-overlapping), hashed straight from each parent's
+    base codes.
     """
-    return _build([_batch_of(list(seqs))], strategy, window=window, step=step, workers=workers)
+    return _build([_batch_of(list(seqs))], strategy, window=window, step=step)
 
 
 def _build(batches: Iterable[_Batch], strategy: SelectionStrategy, *, window: int | None = None,
-           step: int | None = None, workers: int = 1) -> HashIndex:
+           step: int | None = None) -> HashIndex:
     """:func:`build_index` over batches of records, hashing each batch as it arrives.
 
     An error in a record comes from ``batches`` when it is read. The other
@@ -216,10 +212,10 @@ def _build(batches: Iterable[_Batch], strategy: SelectionStrategy, *, window: in
     empty index, a record (or window) that ``strategy`` does not fit, and
     a duplicate id. The warnings about parents shorter than the window
     also come once every batch has been read, after those of the reader.
-    With ``workers`` above 1 the records are hashed in a process pool once
-    all of them are read.
     """
-    if window is not None:
+    if window is None:
+        ids, rows, source_len = _hash_batches(batches, strategy)
+    else:
         step = window if step is None else step
         try:
             _check_window(window, step)
@@ -227,21 +223,11 @@ def _build(batches: Iterable[_Batch], strategy: SelectionStrategy, *, window: in
             for _ in batches:  # read on: a bad record anywhere wins
                 pass
             raise
-    # Arguments, after the strategy, of hash_codes (windows) or _hash_records.
-    task = hash_codes if window is not None else _hash_records
-    args: list[tuple] = []
-    ids: list[str] = []
-    lengths: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
-    short: list[tuple[str, int]] = []  # parents without a window, warned about at the end
-    misfit = None
-    for batch in batches:
-        if window is None:
-            misfit = misfit or _misfit(batch.ids, batch.lengths, strategy)
-            ids.extend(batch.ids)
-            lengths.append(batch.lengths)
-            args.append((batch.lengths, batch.codes))
-        else:
+        ids = []
+        parts = [np.empty((0, (strategy.k + 7) // 8), dtype=np.uint8)]
+        short: list[tuple[str, int]] = []  # parents without a window, warned about at the end
+        misfit = None
+        for batch in batches:
             start = 0
             for rid, length in zip(batch.ids, batch.lengths.tolist()):
                 if length < window:
@@ -249,43 +235,20 @@ def _build(batches: Iterable[_Batch], strategy: SelectionStrategy, *, window: in
                 else:
                     misfit = misfit or _misfit([f"{rid}:0"], [window], strategy)
                     ids.extend(f"{rid}:{off}" for off in range(0, length - window + 1, step))
-                    # One (windows, window) view of the parent's codes: no per-window copy.
-                    args.append((sliding_window_view(batch.codes[start:start + length],
-                                                     window)[::step],))
+                    if misfit is None:
+                        # One (windows, window) view of the parent's codes: no per-window copy.
+                        parts.append(hash_codes(sliding_window_view(
+                            batch.codes[start:start + length], window)[::step], strategy))
                 start += length
-        if misfit is not None:
-            args.clear()
-        elif workers == 1:
-            rows.extend(task(*a, strategy) for a in args)
-            args.clear()
-        del batch  # before the next read: a batch may hold one long record
-    for rid, length in short:
-        _warn_short(rid, length, window)
+            del batch  # before the next read: a batch may hold one long record
+        for rid, length in short:
+            _warn_short(rid, length, window)
+        if misfit is not None:  # a misfit window means the index is not empty
+            raise misfit
+        rows, source_len = np.concatenate(parts), np.full(len(ids), window)
     if not ids:
         raise ValueError("nothing to index: no sequences (or no windows) supplied")
-    if misfit is not None:
-        raise misfit
-
-    if len(ids) > _BUILD_CHUNK and args:
-        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
-        chunks = [c for a in args for c in _chunks(a, _BUILD_CHUNK)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(partial(task, strategy=strategy), *zip(*chunks)))
-    else:
-        rows.extend(task(*a, strategy) for a in args)
-    source_len = np.full(len(ids), window) if window is not None else np.concatenate(lengths)
-    return HashIndex(strategy, tuple(ids), source_len, _pad_rows(np.concatenate(rows)))
-
-
-def _chunks(args: tuple, size: int) -> list[tuple]:
-    """Arguments of hash_codes or _hash_records split into tasks of ``size`` rows."""
-    if len(args) == 1:
-        (view,) = args
-        return [(view[i:i + size],) for i in range(0, len(view), size)]
-    lengths, codes = args
-    starts = np.concatenate(([0], np.cumsum(lengths))).tolist()
-    return [(lengths[i:i + size], codes[starts[i]:starts[min(i + size, len(lengths))]])
-            for i in range(0, len(lengths), size)]
+    return HashIndex(strategy, tuple(ids), source_len, _pad_rows(rows))
 
 
 def _check_compatible(index: HashIndex, probe: PerceptualHash) -> None:

@@ -26,6 +26,7 @@ and consumes no draws.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterable, TextIO
@@ -219,12 +220,15 @@ def run_group(config: SimulationConfig, *, workers: int = 1,
     """Simulate one group and tally Hamming distances per divergence rate.
 
     Deterministic for a fixed config: per-ordinal substreams make the
-    output identical whatever ``workers`` is.
+    output identical whatever ``workers`` is. At most one process per
+    chunk and per CPU is started, because the pool starts all of its
+    processes at the first task.
     """
     chunk = _chunk_size(config)
     bounds = [(s, min(s + chunk, config.n_primary))
               for s in range(0, config.n_primary, chunk)]
-    if workers > 1 and len(bounds) > 1:
+    workers = min(workers, len(bounds), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         starts, stops = zip(*bounds)
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -462,7 +462,7 @@ def test_09_divergence_simulations():
 
 
 def test_10_throughput_floor():
-    report = run_bench(seq_len=100, n=100_000, seed=0, workers=1)
+    report = run_bench(seq_len=100, n=100_000, seed=0)
     ok = report.hashing_rate >= 50_000
     _verdict(10, ok,
              f"single worker at 100 bp / 64-bit: {report.hashing_rate:,.0f} hashes/s "

@@ -102,14 +102,21 @@ class TestHash:
         assert captured.out == ""
         assert "record 'tiny':" in captured.err
 
-    def test_bad_record_in_a_later_file_wins_over_a_misfit(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [
+        ["hash"], ["index", "-o", "x.dph"], ["index", "-o", "x.dph", "--window", "16"]],
+        ids=["hash", "index", "index-window"])
+    def test_bad_record_in_a_later_file_wins_over_a_misfit(self, command, tmp_path,
+                                                           monkeypatch, capsys):
+        # 'tiny' does not fit 64 bits, nor does a 16 bp window ('ok:0')
+        monkeypatch.chdir(tmp_path)
         a = write_fasta(tmp_path / "a.fa", [("ok", "ACGT" * 32), ("tiny", "ACGTACGT")])
         b = write_fasta(tmp_path / "b.fa", [("fine", "ACGT" * 32), ("oops", "ACGTNACGT" * 4)])
-        assert run_cli("hash", "--width", "64", a, b) == 2
+        assert run_cli(*command, "--width", "64", a, b) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid base 'N' in record 'oops' at position 5" in captured.err
-        assert "tiny" not in captured.err
+        assert "tiny" not in captured.err and "ok:0" not in captured.err
+        assert sorted(os.listdir(tmp_path)) == ["a.fa", "b.fa"]
 
     def test_non_utf8_input_is_a_data_error(self, tmp_path, capsys):
         bad_base = tmp_path / "base.fa"
@@ -190,21 +197,40 @@ class TestIndexAndQuery:
         assert "w\tg0:0\t0" in hits
         assert "w\tg0:64\t0" in hits
 
-    def test_window_workers_match_serial(self, tmp_path):
-        # the long record spans more than one worker chunk of window rows
+    def test_window_count_over_mixed_parents(self, tmp_path):
         rng = np.random.default_rng(5)
         fa = write_fasta(tmp_path / "w.fa", [
             (name, "".join(rng.choice(list("ACGT"), size=n)))
             for name, n in (("long", 20_000), ("short", 50), ("mid", 3000))
         ])
-        outs = []
-        for workers in ("1", "2"):
-            outs.append(tmp_path / f"w{workers}.dph")
-            assert run_cli("index", fa, "-o", str(outs[-1]), "--width", "32", "--window", "64",
-                           "--step", "37", "--workers", workers) == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes()
-        with open(outs[0], "rb") as fh:
+        out = tmp_path / "w.dph"
+        assert run_cli("index", fa, "-o", str(out), "--width", "32", "--window", "64",
+                       "--step", "37") == 0
+        with open(out, "rb") as fh:
             assert len(load_index(fh)) == 539 + 80
+
+    def test_workers_flag_is_gone(self, corpus, tmp_path):
+        # hashing runs in the calling process; only simulate keeps --workers
+        assert run_cli("index", corpus, "-o", str(tmp_path / "x.dph"), "--workers", "2") == 1
+        assert run_cli("bench", "-n", "10", "--workers", "2") == 1
+        assert os.listdir(tmp_path) == ["corpus.fa"]
+
+    @pytest.mark.parametrize("parent, window", [(70_000, None), (65_534, "50")],
+                             ids=["record", "window"])
+    def test_overlong_id_is_a_data_error(self, parent, window, tmp_path, monkeypatch,
+                                         capsysbinary):
+        # An id may take at most 65,535 UTF-8 bytes; a 65,534-byte parent
+        # fits, but its windows 'parent:0' and 'parent:50' do not.
+        monkeypatch.chdir(tmp_path)
+        fa = write_fasta(tmp_path / "long-id.fa", [("x" * parent, "ACGT" * 25)])
+        flags = ["--width", "16"] + (["--window", window] if window else [])
+        message = f"dnaphash: data error: record id {'x' * 32!r}... is too long to serialize\n"
+        for output in ("-", "x.dph"):
+            assert run_cli("index", fa, "-o", output, *flags) == 2
+            captured = capsysbinary.readouterr()
+            assert captured.out == b""
+            assert captured.err.decode() == message
+            assert os.listdir(tmp_path) == ["long-id.fa"]
 
     def test_step_without_window_exits_1(self, corpus, tmp_path):
         assert run_cli("index", corpus, "-o", str(tmp_path / "x.dph"), "--step", "10") == 1

@@ -5,7 +5,6 @@ import logging
 import math
 import struct
 import zlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,13 +107,6 @@ class TestBuild:
         with pytest.raises(StrategyMismatch):
             _index_of(ZIGZAG32, (a, b))
 
-    def test_workers_match_serial(self):
-        # enough inputs to span several dispatch chunks
-        seqs = _random_sequences(600, 64, seed=5)
-        serial = build_index(seqs, BLOCK64, workers=1)
-        parallel = build_index(seqs, BLOCK64, workers=3)
-        assert index_bytes(serial) == index_bytes(parallel)
-
     def test_mixed_lengths(self):
         seqs = [Sequence("a", "ACGT" * 30), Sequence("b", "GATTACA" * 40)]
         idx = build_index(seqs, ZIGZAG32)
@@ -201,20 +193,15 @@ class TestWindows:
         with caplog.at_level(logging.WARNING):
             pieces = list(expand_windows(seqs, window, step))
         assert [r.args[0] for r in caplog.records] == short
-        # a tiny chunk makes workers=2 split parents across tasks
-        with mock.patch.object(dnaphash.index, "_BUILD_CHUNK", 3):
-            for workers in (1, 2):
-                caplog.clear()
-                with caplog.at_level(logging.WARNING):
-                    if not pieces:
-                        with pytest.raises(ValueError, match="nothing to index"):
-                            build_index(seqs, strategy, window=window, step=step,
-                                        workers=workers)
-                    else:
-                        got = build_index(seqs, strategy, window=window, step=step,
-                                          workers=workers)
-                        assert index_bytes(got) == index_bytes(build_index(pieces, strategy))
-                assert [r.args[0] for r in caplog.records] == short
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            if not pieces:
+                with pytest.raises(ValueError, match="nothing to index"):
+                    build_index(seqs, strategy, window=window, step=step)
+            else:
+                got = build_index(seqs, strategy, window=window, step=step)
+                assert index_bytes(got) == index_bytes(build_index(pieces, strategy))
+        assert [r.args[0] for r in caplog.records] == short
 
     def test_misfit_names_first_window(self):
         # the first parent is skipped, so the first window is q:0

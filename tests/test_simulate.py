@@ -1,6 +1,8 @@
 """Reproducible generation/mutation streams and the divergence simulations."""
 
+import concurrent.futures
 import io
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from dnaphash.simulate import (
     GROUP_PRESETS,
     DistanceHistogram,
     SimulationConfig,
+    _chunk_size,
     generate_sequence,
     mutate_sequence,
     mutation_count,
@@ -243,6 +246,34 @@ class TestRunGroup:
         assert np.array_equal(serial.counts, parallel.counts)
         assert np.array_equal(serial.pairs, parallel.pairs)
         assert _histogram_csv(serial) == _histogram_csv(parallel)
+
+    @pytest.mark.parametrize("cpus, started", [(64, [3]), (2, [2]), (None, [])],
+                             ids=["by-chunks", "by-cpus", "cpu-count-unknown"])
+    def test_pool_is_capped_by_chunks_and_cpus(self, monkeypatch, cpus, started):
+        # The pool forks every process it may use at its first task, so
+        # --workers 500 on three chunks must not ask it for 500.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = preset_config("A", n_primary=1, seed=2, rates=(0.1, 1.0))
+        cfg = preset_config("A", n_primary=2 * _chunk_size(cfg) + 1, seed=2, rates=(0.1, 1.0))
+        pooled = run_group(cfg, workers=500, keep_pairs=True)
+        assert sizes == started
+        assert np.array_equal(pooled.pairs, run_group(cfg, keep_pairs=True).pairs)
 
     def test_pairs_match_public_replay(self):
         # re-derive sampled ordinals through the one-sequence-at-a-time API
