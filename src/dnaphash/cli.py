@@ -50,8 +50,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_IO = 3
 
-WORKERS_ENV = "DNAPHASH_WORKERS"
-
 log = logging.getLogger(__name__)
 
 
@@ -65,18 +63,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _resolve_workers(value: int | None) -> int:
-    if value is None:
-        raw = os.environ.get(WORKERS_ENV, "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise UsageError(f"{WORKERS_ENV}={raw!r} is not an integer") from None
-    if value < 1:
-        raise UsageError(f"workers must be at least 1, got {value}")
-    return value
 
 
 def _strategy(args) -> SelectionStrategy:
@@ -215,7 +201,7 @@ def _hit_lines(pid: str, index: HashIndex, hits: np.ndarray, dist: np.ndarray) -
 
 
 def _simulation_config(args) -> SimulationConfig:
-    rates = None
+    rates = DEFAULT_RATES
     if args.rates is not None:
         try:
             rates = tuple(float(r) for r in args.rates.split(","))
@@ -223,20 +209,19 @@ def _simulation_config(args) -> SimulationConfig:
             raise UsageError(f"--rates must be a comma list of numbers, got {args.rates!r}") from None
     try:
         if args.group is not None:
-            if args.len is not None or args.width is not None:
-                raise UsageError("--group already fixes --len and --width")
+            if args.len is not None or args.width is not None or args.strategy is not None:
+                raise UsageError("--group already fixes --len, --width and --strategy")
             return preset_config(args.group, n_primary=args.n, seed=args.seed, rates=rates)
         if args.len is None or args.width is None:
             raise UsageError("either --group or both --len and --width are required")
-        kind = args.strategy or ("block" if math.isqrt(args.width) ** 2 == args.width else "zigzag")
         return SimulationConfig(
             group="custom",
             seq_len=args.len,
             hash_width=args.width,
-            strategy=SelectionStrategy(kind, args.width),
-            divergence_rates=rates if rates is not None else DEFAULT_RATES,
-            n_primary=args.n if args.n is not None else DEFAULT_N_PRIMARY,
-            seed=args.seed if args.seed is not None else 0,
+            strategy=_strategy(args),
+            divergence_rates=rates,
+            n_primary=args.n,
+            seed=args.seed,
         )
     except (KeyError, ValueError) as exc:
         raise UsageError(str(exc)) from None
@@ -244,8 +229,7 @@ def _simulation_config(args) -> SimulationConfig:
 
 def cmd_simulate(args) -> int:
     config = _simulation_config(args)
-    workers = _resolve_workers(args.workers)
-    hist = run_group(config, workers=workers, keep_pairs=args.per_pair is not None)
+    hist = run_group(config, keep_pairs=args.per_pair is not None)
     with _atomic_write(args.output) as sink:
         write_histogram_csv(hist, sink)
     if args.per_pair is not None:
@@ -328,16 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=None, help="hash width for a custom group")
     p.add_argument("--strategy", choices=STRATEGY_KINDS, default=None,
                    help="bit selection for a custom group")
-    p.add_argument("-n", type=int, default=None,
-                   help="primary sequences per group (default 10000)")
-    p.add_argument("--seed", type=int, default=None, help="base RNG seed (default 0)")
-    p.add_argument("--rates", default=None,
-                   help="comma list of divergence rates in [0, 1] (default 0.05,0.1,0.2,0.3,0.5,1.0)")
+    p.add_argument("-n", type=int, default=DEFAULT_N_PRIMARY,
+                   help=f"primary sequences per group (default {DEFAULT_N_PRIMARY})")
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+    p.add_argument("--rates", default=None, help="comma list of divergence rates in [0, 1] "
+                   f"(default {','.join(map(str, DEFAULT_RATES))})")
     p.add_argument("-o", "--output", default="-", help="CSV destination (default stdout)")
     p.add_argument("--per-pair", default=None,
                    help="also write one ordinal,rate,distance row per hashed pair")
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"simulation processes (default ${WORKERS_ENV} or 1)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench", help="measure generation and hashing throughput")

@@ -4,7 +4,7 @@ Every primary sequence ordinal gets its own RNG substream — PCG64 seeded
 with ``SeedSequence(seed, spawn_key=(ordinal,))`` — and all draws for that
 ordinal (the primary's bases, then each variant's mutation positions and
 offsets, in ascending rate order) come from that stream. Results therefore
-depend only on (seed, config), never on chunking or worker count.
+depend only on (seed, config), never on chunking or process count.
 
 Per ordinal the draw order is:
 
@@ -215,26 +215,26 @@ def _chunk_size(config: SimulationConfig) -> int:
     return max(8, min(2048, 6_000_000 // (streams * cells)))
 
 
-def run_group(config: SimulationConfig, *, workers: int = 1,
-              keep_pairs: bool = False) -> DistanceHistogram:
+def run_group(config: SimulationConfig, *, keep_pairs: bool = False) -> DistanceHistogram:
     """Simulate one group and tally Hamming distances per divergence rate.
 
-    Deterministic for a fixed config: per-ordinal substreams make the
-    output identical whatever ``workers`` is. At most one process per
-    chunk and per CPU is started, because the pool starts all of its
-    processes at the first task.
+    The ordinals are cut into the fewest chunks of at most ``_chunk_size``,
+    with sizes that differ by at most one. One process per chunk and per
+    usable CPU hashes them; no more, because the pool starts all of its
+    processes at its first task. Per-ordinal substreams make the output
+    the same for every split.
     """
-    chunk = _chunk_size(config)
-    bounds = [(s, min(s + chunk, config.n_primary))
-              for s in range(0, config.n_primary, chunk)]
-    workers = min(workers, len(bounds), os.cpu_count() or 1)
+    n = config.n_primary
+    chunks = -(-n // _chunk_size(config))
+    edges = [n * i // chunks for i in range(chunks + 1)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(chunks, cpus)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
-        starts, stops = zip(*bounds)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(partial(_simulate_chunk, config), starts, stops))
+            parts = list(pool.map(partial(_simulate_chunk, config), edges[:-1], edges[1:]))
     else:
-        parts = [_simulate_chunk(config, s, e) for s, e in bounds]
+        parts = [_simulate_chunk(config, s, e) for s, e in zip(edges, edges[1:])]
     distances = np.concatenate(parts, axis=0)
 
     width = config.hash_width

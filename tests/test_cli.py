@@ -19,14 +19,6 @@ import dnaphash
 from dnaphash import SelectionStrategy, Sequence, compute_hash, load_index, query, query_topk
 from dnaphash.cli import _atomic_write, main
 
-pytestmark = pytest.mark.usefixtures("clean_workers_env")
-
-
-@pytest.fixture
-def clean_workers_env(monkeypatch):
-    monkeypatch.delenv("DNAPHASH_WORKERS", raising=False)
-
-
 def run_cli(*argv):
     """Invoke the CLI in-process; argparse aborts surface as their exit code."""
     try:
@@ -210,9 +202,11 @@ class TestIndexAndQuery:
             assert len(load_index(fh)) == 539 + 80
 
     def test_workers_flag_is_gone(self, corpus, tmp_path):
-        # hashing runs in the calling process; only simulate keeps --workers
+        # no command takes a process count; simulate sizes its own pool
         assert run_cli("index", corpus, "-o", str(tmp_path / "x.dph"), "--workers", "2") == 1
         assert run_cli("bench", "-n", "10", "--workers", "2") == 1
+        assert run_cli("simulate", "--group", "A", "-n", "10", "-o", str(tmp_path / "s.csv"),
+                       "--workers", "2") == 1
         assert os.listdir(tmp_path) == ["corpus.fa"]
 
     @pytest.mark.parametrize("parent, window", [(70_000, None), (65_534, "50")],
@@ -479,6 +473,14 @@ class TestSimulate:
     def test_group_with_len_exits_1(self):
         assert run_cli("simulate", "--group", "A", "--len", "100", "-n", "10") == 1
 
+    def test_group_with_strategy_exits_1(self, capsys):
+        # a preset's strategy is part of the group, not a default to override
+        assert run_cli("simulate", "--group", "B", "--strategy", "zigzag", "-n", "10") == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("dnaphash: error: --group already fixes --len, --width "
+                                "and --strategy\n")
+        assert captured.out == ""
+
     def test_bad_rates_exit_1(self):
         assert run_cli("simulate", "--group", "A", "-n", "10", "--rates", "0.1,abc") == 1
         assert run_cli("simulate", "--group", "A", "-n", "10", "--rates", "0.1,2.0") == 1
@@ -486,17 +488,12 @@ class TestSimulate:
     def test_missing_len_or_width_exits_1(self):
         assert run_cli("simulate", "--len", "100", "-n", "10") == 1
 
-    def test_workers_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("DNAPHASH_WORKERS", "2")
-        out = tmp_path / "w.csv"
-        assert run_cli("simulate", "--group", "A", "-n", "10", "--rates", "1.0",
-                       "-o", str(out)) == 0
+    def test_workers_env_is_ignored(self, monkeypatch, tmp_path):
+        args = ("simulate", "--group", "A", "-n", "10", "--rates", "1.0")
+        assert run_cli(*args, "-o", str(tmp_path / "plain.csv")) == 0
         monkeypatch.setenv("DNAPHASH_WORKERS", "bogus")
-        assert run_cli("simulate", "--group", "A", "-n", "10", "--rates", "1.0",
-                       "-o", str(out)) == 1
-        monkeypatch.setenv("DNAPHASH_WORKERS", "0")
-        assert run_cli("simulate", "--group", "A", "-n", "10", "--rates", "1.0",
-                       "-o", str(out)) == 1
+        assert run_cli(*args, "-o", str(tmp_path / "env.csv")) == 0
+        assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 class TestBench:
@@ -650,6 +647,22 @@ class TestModuleEntry:
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_one_chunk_simulate_starts_no_pool(self, tmp_path):
+        script = textwrap.dedent(f"""
+            import sys
+            from dnaphash.cli import main
+            if main(["simulate", "--group", "F", "-n", "3", "-o", {str(tmp_path / "s.csv")!r}]):
+                sys.exit("simulate failed")
+            print(sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
+        """)
+        src = os.path.dirname(os.path.dirname(dnaphash.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 

@@ -238,20 +238,28 @@ class TestRunGroup:
         b = _histogram_csv(run_group(SMALL))
         assert a == b
 
-    def test_worker_count_does_not_change_output(self):
+    def test_worker_count_does_not_change_output(self, monkeypatch):
         # enough primaries that the work splits into several chunks
         cfg = preset_config("A", n_primary=2500, seed=1, rates=(0.0, 0.1, 1.0))
-        serial = run_group(cfg, workers=1, keep_pairs=True)
-        parallel = run_group(cfg, workers=3, keep_pairs=True)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = run_group(cfg, keep_pairs=True)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        parallel = run_group(cfg, keep_pairs=True)
         assert np.array_equal(serial.counts, parallel.counts)
         assert np.array_equal(serial.pairs, parallel.pairs)
         assert _histogram_csv(serial) == _histogram_csv(parallel)
 
-    @pytest.mark.parametrize("cpus, started", [(64, [3]), (2, [2]), (None, [])],
-                             ids=["by-chunks", "by-cpus", "cpu-count-unknown"])
-    def test_pool_is_capped_by_chunks_and_cpus(self, monkeypatch, cpus, started):
+    @pytest.mark.parametrize("affinity, cpus, started", [
+        ({0, 1, 2, 3}, 64, [3]),
+        ({0, 1}, 2, [2]),
+        ({0, 1}, 64, [2]),
+        ({5}, 1, []),
+        (None, None, []),
+    ], ids=["by-chunks", "by-cpus", "affinity-narrower-than-cpu-count", "one-cpu",
+            "cpu-count-unknown"])
+    def test_pool_is_capped_by_chunks_and_cpus(self, monkeypatch, affinity, cpus, started):
         # The pool forks every process it may use at its first task, so
-        # --workers 500 on three chunks must not ask it for 500.
+        # three chunks on many CPUs must not ask it for more than three.
         sizes = []
 
         class FakePool:
@@ -269,11 +277,40 @@ class TestRunGroup:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
         cfg = preset_config("A", n_primary=1, seed=2, rates=(0.1, 1.0))
         cfg = preset_config("A", n_primary=2 * _chunk_size(cfg) + 1, seed=2, rates=(0.1, 1.0))
-        pooled = run_group(cfg, workers=500, keep_pairs=True)
+        pooled = run_group(cfg, keep_pairs=True)
         assert sizes == started
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert np.array_equal(pooled.pairs, run_group(cfg, keep_pairs=True).pairs)
+
+    @pytest.mark.parametrize("chunks, plus", [(0, 1), (1, 0), (1, 1), (2, 1)],
+                             ids=["one", "chunk", "chunk+1", "2chunk+1"])
+    def test_chunks_are_balanced(self, monkeypatch, chunks, plus):
+        # n = chunks·chunk + plus; full chunks and a remainder would leave a
+        # last chunk of one ordinal
+        cfg = preset_config("A", n_primary=1, seed=3, rates=(0.1, 1.0))
+        chunk = _chunk_size(cfg)
+        n = chunks * chunk + plus
+        cfg = preset_config("A", n_primary=n, seed=3, rates=(0.1, 1.0))
+        calls = []
+
+        def record(config, start, stop):
+            calls.append((start, stop))
+            return np.zeros((stop - start, len(config.divergence_rates)), dtype=np.uint16)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr("dnaphash.simulate._simulate_chunk", record)
+        run_group(cfg)
+        assert [o for start, stop in calls for o in range(start, stop)] == list(range(n))
+        sizes = [stop - start for start, stop in calls]
+        assert len(sizes) == -(-n // chunk)
+        assert max(sizes) <= chunk
+        assert max(sizes) - min(sizes) <= 1
 
     def test_pairs_match_public_replay(self):
         # re-derive sampled ordinals through the one-sequence-at-a-time API
