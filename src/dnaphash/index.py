@@ -19,10 +19,9 @@ import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadMagic,
@@ -35,14 +34,7 @@ from .errors import (
     UnsupportedVersion,
     WidthMismatch,
 )
-from .hashing import (
-    STRATEGY_KINDS,
-    PerceptualHash,
-    SelectionStrategy,
-    _hash_batches,
-    _misfit,
-    hash_codes,
-)
+from .hashing import STRATEGY_KINDS, PerceptualHash, SelectionStrategy, _hash_batches
 from .sequence import MIN_LENGTH, Sequence, _Batch, _batch_of
 
 log = logging.getLogger(__name__)
@@ -213,9 +205,7 @@ def _build(batches: Iterable[_Batch], strategy: SelectionStrategy, *, window: in
     a duplicate id. The warnings about parents shorter than the window
     also come once every batch has been read, after those of the reader.
     """
-    if window is None:
-        ids, rows, source_len = _hash_batches(batches, strategy)
-    else:
+    if window is not None:
         step = window if step is None else step
         try:
             _check_window(window, step)
@@ -223,32 +213,32 @@ def _build(batches: Iterable[_Batch], strategy: SelectionStrategy, *, window: in
             for _ in batches:  # read on: a bad record anywhere wins
                 pass
             raise
-        ids = []
-        parts = [np.empty((0, (strategy.k + 7) // 8), dtype=np.uint8)]
-        short: list[tuple[str, int]] = []  # parents without a window, warned about at the end
-        misfit = None
-        for batch in batches:
-            start = 0
-            for rid, length in zip(batch.ids, batch.lengths.tolist()):
-                if length < window:
-                    short.append((rid, length))
-                else:
-                    misfit = misfit or _misfit([f"{rid}:0"], [window], strategy)
-                    ids.extend(f"{rid}:{off}" for off in range(0, length - window + 1, step))
-                    if misfit is None:
-                        # One (windows, window) view of the parent's codes: no per-window copy.
-                        parts.append(hash_codes(sliding_window_view(
-                            batch.codes[start:start + length], window)[::step], strategy))
-                start += length
-            del batch  # before the next read: a batch may hold one long record
-        for rid, length in short:
-            _warn_short(rid, length, window)
-        if misfit is not None:  # a misfit window means the index is not empty
-            raise misfit
-        rows, source_len = np.concatenate(parts), np.full(len(ids), window)
+        batches = _windows(batches, window, step)
+    ids, rows, source_len = _hash_batches(batches, strategy)
     if not ids:
         raise ValueError("nothing to index: no sequences (or no windows) supplied")
     return HashIndex(strategy, tuple(ids), source_len, _pad_rows(rows))
+
+
+def _windows(batches: Iterable[_Batch], window: int, step: int) -> Iterator[_Batch]:
+    """Each batch's windows, as spans of its codes with ids ``parent:offset``.
+
+    Parents shorter than the window are warned about once the last batch is
+    read: after the reader's warnings, and not at all if a record is bad.
+    """
+    short: list[tuple[str, int]] = []
+    for batch in batches:
+        ids, starts = [], [np.empty(0, dtype=np.int64)]
+        for rid, start, length in zip(batch.ids, batch.starts.tolist(), batch.lengths.tolist()):
+            if length < window:
+                short.append((rid, length))
+                continue
+            ids.extend(f"{rid}:{off}" for off in range(0, length - window + 1, step))
+            starts.append(np.arange(start, start + length - window + 1, step))
+        yield _Batch(ids, np.concatenate(starts), np.full(len(ids), window), batch.codes)
+        del batch  # before the next read: a batch may hold one long record
+    for rid, length in short:
+        _warn_short(rid, length, window)
 
 
 def _check_compatible(index: HashIndex, probe: PerceptualHash) -> None:

@@ -231,20 +231,22 @@ def read_fasta(path: str, *, n_policy: str = "reject") -> list[Sequence]:
 
 
 class _Batch(NamedTuple):
-    """Records in input order: their ids, their lengths and all their base codes.
+    """Records in input order: their ids, starts and lengths, and the base codes they span.
 
-    Record i's codes (0..3 for A, T, C, G) are the ``lengths[i]`` bytes of
-    ``codes`` that follow those of the records before it.
+    Record i's codes (0..3 for A, T, C, G) are ``codes[starts[i]:starts[i] +
+    lengths[i]]``. The reader's records follow one another; windows may overlap.
     """
 
     ids: list[str]
+    starts: np.ndarray  # int64[N]
     lengths: np.ndarray  # int64[N]
-    codes: np.ndarray  # uint8[lengths.sum()]
+    codes: np.ndarray  # uint8
 
 
 def _batch_of(seqs: list[Sequence]) -> _Batch:
     """One batch of validated sequences."""
-    return _Batch([s.id for s in seqs], np.fromiter(map(len, seqs), np.int64, len(seqs)),
+    lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+    return _Batch([s.id for s in seqs], np.cumsum(lengths) - lengths, lengths,
                   codes_from_bases("".join(s.bases for s in seqs)))
 
 
@@ -271,8 +273,8 @@ def _batch_of_text(data: bytes, first_line: int, n_policy: str) -> tuple[_Batch,
             codes.append(seq.bases.encode("ascii").translate(_FASTA_TO_CODE))
 
     def batch() -> _Batch:
-        return _Batch(ids, np.array(lengths, dtype=np.int64),
-                      np.frombuffer(b"".join(codes), dtype=np.uint8))
+        n = np.array(lengths, dtype=np.int64)
+        return _Batch(ids, np.cumsum(n) - n, n, np.frombuffer(b"".join(codes), dtype=np.uint8))
 
     if b"\r" in data:  # from here on every line ends in LF, as in a text file
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -305,7 +307,8 @@ def _batch_of_text(data: bytes, first_line: int, n_policy: str) -> tuple[_Batch,
     if not all(names):
         bad.update(i for i, name in enumerate(names) if not name)
     if not bad and not ids:
-        return _Batch(names, body_lengths, np.frombuffer(joined, dtype=np.uint8)), next_line
+        return _Batch(names, np.cumsum(body_lengths) - body_lengths, body_lengths,
+                      np.frombuffer(joined, dtype=np.uint8)), next_line
 
     # Keep each run of fast records whole; reparse every other record alone,
     # from the line its header is on.

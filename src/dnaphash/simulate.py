@@ -209,7 +209,8 @@ def _simulate_chunk(config: SimulationConfig, start: int, stop: int) -> np.ndarr
 
 
 def _chunk_size(config: SimulationConfig) -> int:
-    # Cap the per-chunk code array near 6 MB; hash_codes bounds its floats.
+    # Aim for ~6 MB of codes per chunk (hash_codes bounds its floats); the floor of 8
+    # ordinals wins above ~107 kbp with 7 streams, so 8 x 1 Mbp peaked at 105 MB.
     streams = len(config.divergence_rates) + 1
     cells = matrix_dim(config.seq_len) ** 2
     return max(8, min(2048, 6_000_000 // (streams * cells)))

@@ -144,6 +144,23 @@ class TestHash:
 
         assert peak(several) < peak(one) + length / 2
 
+    def test_interleaved_lengths_across_gather_chunks(self, tmp_path, monkeypatch, capsys):
+        # One batch whose 20 kbp records sit at uneven starts and outnumber
+        # one gather chunk; the 20,001 and 19,999 bp ones are evenly spaced views.
+        chunk = dnaphash.hashing._WORKSPACE_CELLS // 20_000
+        lengths = [(20_000, 20_001, 20_000, 19_999)[i % 4] for i in range(4 * (chunk // 2 + 2))]
+        assert lengths.count(20_000) > chunk
+        rng = np.random.default_rng(4)
+        records = [(f"r{i}", "".join(rng.choice(list("ACGT"), size=n)))
+                   for i, n in enumerate(lengths)]
+        fa = write_fasta(tmp_path / "i.fa", records)
+        monkeypatch.setattr(dnaphash.sequence, "_BLOCK_BYTES", os.path.getsize(fa) + 1)
+        assert run_cli("hash", "--width", "64", fa) == 0
+        strategy = SelectionStrategy("block", 64)
+        assert capsys.readouterr().out.splitlines() == [
+            f"{rid}\t{compute_hash(Sequence(rid, bases), strategy).to_hex()}"
+            for rid, bases in records]
+
     def test_missing_file_exits_3(self, tmp_path):
         assert run_cli("hash", str(tmp_path / "nope.fa")) == 3
 
@@ -200,6 +217,43 @@ class TestIndexAndQuery:
                        "--step", "37") == 0
         with open(out, "rb") as fh:
             assert len(load_index(fh)) == 539 + 80
+
+    @pytest.mark.parametrize("cells", [None, 128], ids=["workspace", "small-workspace"])
+    def test_windows_across_reader_batches_equal_expanded_windows(self, cells, tmp_path,
+                                                                  monkeypatch, caplog):
+        # Small blocks give batches of several parents each; a small
+        # workspace splits a parent's windows into chunks, some of which
+        # straddle two parents of one batch.
+        rng = np.random.default_rng(12)
+        lengths = [90, 18, 260, 25, 130, 300, 75, 31, 180, 210, 64, 20, 150, 95, 240]
+        records = [(f"p{i}", "".join(rng.choice(list("ACGT"), size=n)))
+                   for i, n in enumerate(lengths)]
+        records[4] = ("n4", records[4][1][:60] + "N" + records[4][1][61:])
+        records[11] = ("n11", "N" + records[11][1][1:])
+        fa = write_fasta(tmp_path / "w.fa", records)
+        window, step, strategy = 32, 7, SelectionStrategy("zigzag", 20)
+        monkeypatch.setattr(dnaphash.sequence, "_BLOCK_BYTES", 200)
+        with open(fa, "rb") as handle:
+            sizes = [len(b.ids) for b in dnaphash.sequence._stream_fasta(
+                handle, n_policy="skip-record")]
+        assert len(sizes) > 4 and max(sizes) > 2
+        caplog.clear()
+        if cells is not None:
+            monkeypatch.setattr(dnaphash.hashing, "_WORKSPACE_CELLS", cells)
+        out = tmp_path / "w.dph"
+        with caplog.at_level(logging.WARNING):
+            assert run_cli("index", fa, "-o", str(out), "--window", str(window), "--step",
+                           str(step), "--width", "20", "--strategy", "zigzag",
+                           "--n-policy", "skip-record") == 0
+        got = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            seqs = dnaphash.read_fasta(fa, n_policy="skip-record")
+            want = dnaphash.index_bytes(dnaphash.build_index(
+                dnaphash.expand_windows(seqs, window, step), strategy))
+        assert out.read_bytes() == want
+        assert got == [r.getMessage() for r in caplog.records]
+        assert [r.args[0] for r in caplog.records] == ["n4", "n11", "p1", "p3", "p7"]
 
     def test_workers_flag_is_gone(self, corpus, tmp_path):
         # no command takes a process count; simulate sizes its own pool

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dnaphash.hashing
 import dnaphash.index
 
 from dnaphash import (
@@ -118,6 +119,20 @@ class TestBuild:
         seqs = [generate_sequence(n, rng, id=f"s{i}") for i, n in enumerate(lengths)]
         idx = build_index(seqs, BLOCK64)
         assert idx.source_len.tolist() == list(lengths)
+        for (rid, h), seq in zip(_records(idx), seqs):
+            assert rid == seq.id
+            assert h == compute_hash(seq, BLOCK64)
+
+    def test_interleaved_lengths_across_gather_chunks(self):
+        # The 20 kbp records sit at uneven starts and outnumber one gather
+        # chunk; the 20,001 and 19,999 bp ones are evenly spaced views.
+        chunk = dnaphash.hashing._WORKSPACE_CELLS // 20_000
+        lengths = [(20_000, 20_001, 20_000, 19_999)[i % 4] for i in range(4 * (chunk // 2 + 2))]
+        assert lengths.count(20_000) > chunk
+        rng = sequence_rng(13, 0)
+        seqs = [generate_sequence(n, rng, id=f"s{i}") for i, n in enumerate(lengths)]
+        idx = build_index(seqs, BLOCK64)
+        assert idx.source_len.tolist() == lengths
         for (rid, h), seq in zip(_records(idx), seqs):
             assert rid == seq.id
             assert h == compute_hash(seq, BLOCK64)

@@ -218,6 +218,7 @@ def _streamed(path, n_policy, block):
     for batch in batches:
         assert batch.ids and len(batch.ids) == len(batch.lengths)
         assert batch.lengths.sum() == batch.codes.size and batch.codes.dtype == np.uint8
+        assert batch.starts.tolist() == (np.cumsum(batch.lengths) - batch.lengths).tolist()
     return ([rid for b in batches for rid in b.ids],
             [n for b in batches for n in b.lengths.tolist()],
             b"".join(b.codes.tobytes() for b in batches))

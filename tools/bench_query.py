@@ -1,4 +1,4 @@
-"""Time ``dnaphash query`` in-process on window indexes, and write it as JSON.
+"""Time ``dnaphash index`` and ``query`` in-process on window indexes, and write it as JSON.
 
     PYTHONPATH=src python3 tools/bench_query.py [-o BENCH_query.json]
 
@@ -6,13 +6,15 @@ It writes 12 random records of about 200 kbp and 40 probes of 1000 bp
 (even ones a window with 50 substitutions, odd ones random: the
 long-records shape) to a temp directory, and indexes them with
 ``dnaphash index --window 1000 --width 32 --strategy zigzag`` at step 100
-(about 24k windows) and at step 10 (about 240k). For each index it reports
-the median seconds of ``load_index`` and of ``cli.main(["query", ...])``
-with ``--top-k 10`` and with ``--max-dist 8``, stdout sent to a null sink,
-each timed for at least two seconds and eleven runs. It also reports each
-query's line count and the CRC-32 of its output, so two checkouts can be
-checked for the same output. The package comes from whichever ``dnaphash``
-is first on ``PYTHONPATH``, so the same command times two checkouts.
+(about 24k windows) and at step 10 (about 240k). For each step it reports
+the median seconds of that ``cli.main(["index", ...])`` build, of
+``load_index`` and of ``cli.main(["query", ...])`` with ``--top-k 10`` and
+with ``--max-dist 8``, stdout sent to a null sink, each timed for at least
+two seconds and eleven runs. It also reports the index file's CRC-32 (its
+trailer: the CRC-32 of every byte before it), and each query's line count
+and the CRC-32 of its output, so two checkouts can be checked for the same
+files and output. The package comes from whichever ``dnaphash`` is first
+on ``PYTHONPATH``, so the same command times two checkouts.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def _median_seconds(fn) -> tuple[float, int]:
     return statistics.median(times), len(times)
 
 
-def _query(argv: list[str], sink) -> None:
+def _cli(argv: list[str], sink) -> None:
     with contextlib.redirect_stdout(sink):
         code = cli.main(argv)
     if code != 0:
@@ -113,27 +115,32 @@ def run(directory: str) -> dict:
     with open(os.devnull, "w", encoding="utf-8") as null:
         for step in STEPS:
             index = os.path.join(directory, f"step{step}.dph")
-            argv = ["index", records, "-o", index, "--window", str(WINDOW), "--step", str(step),
-                    "--width", "32", "--strategy", "zigzag"]
-            if cli.main(argv) != 0:
-                raise RuntimeError(f"dnaphash {' '.join(argv)} failed")
+            build = ["index", records, "-o", index, "--window", str(WINDOW), "--step", str(step),
+                     "--width", "32", "--strategy", "zigzag"]
+            _cli(build, null)
             with open(index, "rb") as handle:
-                row = {"step": step, "windows": len(load_index(handle))}
+                data = handle.read()
+            # The CRC-32 of a whole file that ends in its own CRC-32 is a constant.
+            row = {"step": step, "windows": len(load_index(io.BytesIO(data))),
+                   "index_crc32": f"{zlib.crc32(data[:-4]):08x}"}
+            del data
+            row["index_s"], row["index_samples"] = _median_seconds(lambda: _cli(build, null))
             row["load_index_s"], row["load_index_samples"] = _median_seconds(
                 lambda: _load(index))
             for mode, flag in (("topk", ["--top-k", str(TOP_K)]),
                                ("range", ["--max-dist", str(MAX_DIST)])):
                 query = ["query", index, probes, *flag]
                 text = io.StringIO()
-                _query(query, text)
+                _cli(query, text)
                 out = text.getvalue().encode("utf-8")
                 row[f"{mode}_lines"] = out.count(b"\n")
                 row[f"{mode}_crc32"] = f"{zlib.crc32(out):08x}"
                 del text, out
                 row[f"{mode}_s"], row[f"{mode}_samples"] = _median_seconds(
-                    lambda: _query(query, null))
+                    lambda: _cli(query, null))
             results.append(row)
-            print(f"{row['windows']:>7} windows  load_index {1e3 * row['load_index_s']:8.2f} ms"
+            print(f"{row['windows']:>7} windows  index {1e3 * row['index_s']:8.2f} ms"
+                  f"  load_index {1e3 * row['load_index_s']:8.2f} ms"
                   f"  query --top-k {1e3 * row['topk_s']:8.2f} ms"
                   f"  query --max-dist {1e3 * row['range_s']:8.2f} ms"
                   f" ({row['range_lines']} lines)", file=sys.stderr)
