@@ -247,23 +247,36 @@ def select_bits(signs: np.ndarray, strategy: SelectionStrategy, *, source_len: i
 def hash_codes(codes, strategy: SelectionStrategy) -> np.ndarray:
     """Packed hashes of (B, L) base codes (0..3 for A, T, C, G), as (B, ceil(k / 8)) rows.
 
-    Row b holds the bytes :func:`compute_hash` gives for ``codes[b]``. Only
-    the coefficients the selection reads are computed, as ``T[:r] @ M @
-    T[:c].T``. A base cell of ``M`` holds 63 + 64·code, so the codes are
-    cast to floats as they are, multiplied by 64·T[:r], and the 63 comes
-    back as :func:`_base_offset`. Records are laid out in chunks whose
-    float cells, intermediates included, stay within ``_WORKSPACE_CELLS``.
-    A record whose matrix and first product alone outgrow that is laid out
-    a block of matrix rows at a time, and the blocks' products are summed.
+    Row b holds the bytes :func:`compute_hash` gives for ``codes[b]``: the
+    checked front of :func:`_hash_rows`, which hashes every row.
     """
-    codes = np.asarray(codes, dtype=np.uint8)
+    codes = np.asarray(codes)
     if codes.ndim != 2:
         raise ValueError(f"expected a (B, L) array of base codes, got shape {codes.shape}")
-    count, length = codes.shape
-    if length < MIN_LENGTH:
-        raise SequenceTooShort(f"{length} bp cannot fill a {MIN_LENGTH}-cell matrix")
-    if codes.max(initial=0) > 3:  # the cast would take any byte
+    if codes.shape[1] < MIN_LENGTH:
+        raise SequenceTooShort(f"{codes.shape[1]} bp cannot fill a {MIN_LENGTH}-cell matrix")
+    if codes.dtype.kind not in "iu":
+        raise ValueError(f"base codes must be integers, got {codes.dtype}")
+    if codes.max(initial=0) > 3 or (codes.dtype.kind == "i" and codes.min(initial=0) < 0):
         raise ValueError("base codes must lie in 0..3")
+    return _hash_rows(codes.astype(np.uint8, copy=False), None, strategy)
+
+
+def _hash_rows(codes: np.ndarray, take: np.ndarray | None,
+               strategy: SelectionStrategy) -> np.ndarray:
+    """Packed hashes of the rows ``take`` of (N, L) uint8 base codes, or of every row if None.
+
+    Only the coefficients the selection reads are computed, as ``T[:r] @ M
+    @ T[:c].T``. A base cell of ``M`` holds 63 + 64·code, so the codes are
+    cast to floats as they are, multiplied by 64·T[:r], and the 63 comes
+    back as :func:`_base_offset`. Rows are read in chunks whose float
+    cells, intermediates included, stay within ``_WORKSPACE_CELLS``: a
+    chunk of ``take`` is gathered as it is laid out. A record whose matrix
+    and first product alone outgrow that is laid out a block of matrix
+    rows at a time, and the blocks' products are summed.
+    """
+    length = codes.shape[1]
+    count = codes.shape[0] if take is None else len(take)
     dim = matrix_dim(length)
     rows, cols, scaled, right = _selection_arrays(strategy, dim)
     offset = _base_offset(strategy, length)
@@ -274,15 +287,15 @@ def hash_codes(codes, strategy: SelectionStrategy) -> np.ndarray:
     chunk = max(1, _WORKSPACE_CELLS // (height * dim + r * dim + r * c + strategy.k))
     cells = np.empty((min(chunk, count), height * dim))
     for start in range(0, count, chunk):
-        part = codes[start:start + chunk]
-        n = part.shape[0]
+        part = slice(start, start + chunk) if take is None else take[start:start + chunk]
+        n = min(chunk, count - start)
         for top in range(0, dim, height):
             first = top * dim
             if first >= length:  # rows of pad cells add nothing
                 break
             h = min(height, dim - top)
             stop = min(first + h * dim, length)
-            cells[:n, :stop - first] = part[:, first:stop]
+            cells[:n, :stop - first] = codes[part, first:stop]
             cells[:n, stop - first:h * dim] = 0.0
             term = scaled[:, top:top + h] @ cells[:n, :h * dim].reshape(n, h, dim)
             if top:
@@ -305,36 +318,20 @@ def _misfit(ids: list[str], lengths, strategy: SelectionStrategy) -> StrategyToo
     return None
 
 
-def _gap(starts: np.ndarray) -> int:
-    """The even spacing of increasing ``starts`` (1 for a single one), or 0 if uneven."""
-    gap = int(starts[1] - starts[0]) if len(starts) > 1 else 1
-    return gap if gap > 0 and (np.diff(starts) == gap).all() else 0
-
-
 def _hash_records(starts: np.ndarray, lengths: np.ndarray, codes: np.ndarray,
                   strategy: SelectionStrategy) -> np.ndarray:
     """:func:`hash_codes` rows of records of any lengths, in input order.
 
     Record i is ``codes[starts[i]:starts[i] + lengths[i]]``. Records of one
-    length are hashed together: as one strided view of the codes if their
-    starts are evenly spaced (consecutive records, one parent's windows),
-    else in chunks of at most ``_WORKSPACE_CELLS`` bytes of codes, each a
-    view or, if uneven, one fancy-index gather. Check :func:`_misfit` first.
+    length are hashed together, as the rows of the codes' windows of that
+    length that start at their starts. Check :func:`_misfit` first.
     """
     out = np.empty((len(lengths), (strategy.k + 7) // 8), dtype=np.uint8)
     order = np.argsort(lengths, kind="stable")
     for members in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
-        if not members.size:
-            continue
-        length = int(lengths[members[0]])
-        spans = sliding_window_view(codes, length)  # row s is the record that starts at s
-        # a gather copies: 2 MiB of windows outgrew a 2 MiB L2 and hashed 1.5x slower
-        size = len(members) if _gap(starts[members]) else max(1, _WORKSPACE_CELLS // length)
-        for i in range(0, len(members), size):
-            part = members[i:i + size]
-            first, gap = starts[part], _gap(starts[part])
-            rows = spans[first[0]:first[-1] + 1:gap] if gap else spans[first]
-            out[part] = hash_codes(rows, strategy)
+        if members.size:
+            spans = sliding_window_view(codes, int(lengths[members[0]]))  # row s starts at s
+            out[members] = _hash_rows(spans, starts[members], strategy)
     return out
 
 

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import dnaphash.hashing
 from dnaphash import (
@@ -26,7 +27,7 @@ from dnaphash import (
     snap_zeros,
     zigzag_positions,
 )
-from dnaphash.hashing import MAX_WIDTH, STRATEGY_KINDS, _base_offset
+from dnaphash.hashing import MAX_WIDTH, STRATEGY_KINDS, _base_offset, _hash_records, _hash_rows
 from dnaphash.sequence import CODE_TO_INTENSITY, codes_from_bases, matrix_dim
 from dnaphash.simulate import generate_sequence, sequence_rng
 from dnaphash.transform import basis_rows
@@ -442,6 +443,53 @@ class TestKernelProperty:
         finally:
             tracemalloc.stop()
         assert peak - out.nbytes <= 1.5 * 8 * _WORKSPACE_CELLS
+
+    @pytest.mark.parametrize("length,strategy,count", [
+        (100, BLOCK64, 20_000), (1000, ZIGZAG32, 2000), (10_000, BLOCK64, 100),
+        (1_000_000, ZIGZAG32, 2), (300_001, SelectionStrategy("zigzag_skip_dc", 100), 2)])
+    def test_workspace_bounds_gathered_rows(self, length, strategy, count):
+        # shuffled, overlapping windows of one parent: every kernel chunk is a gather
+        from dnaphash.hashing import _WORKSPACE_CELLS
+
+        rng = np.random.default_rng(length)
+        codes = rng.integers(0, 4, size=length + count, dtype=np.uint8)
+        starts = rng.permutation(count + 1)[:count]
+        lengths = np.full(count, length)
+        _hash_records(starts[:1], lengths[:1], codes, strategy)  # cached basis rows
+        tracemalloc.start()
+        try:
+            out = _hash_records(starts, lengths, codes, strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 1.5 * 8 * _WORKSPACE_CELLS
+
+    @pytest.mark.parametrize("cells", [1 << 18, 1200, 10, 20, 90])
+    def test_take_matches_stacked_copies(self, cells):
+        # Whole 10 x 10 matrices in chunks of hundreds of rows, then of a
+        # few rows; then blocks of 1, 2 and 9 matrix rows.
+        length = 100
+        rng = np.random.default_rng(5)
+        codes = rng.integers(0, 4, size=1000, dtype=np.uint8)
+        codes[300:500] = 1  # constant windows carry structural zeros
+        last = codes.size - length
+        take = np.concatenate([rng.integers(0, last + 1, size=2000),  # unsorted, overlapping
+                               [last, 7, 7, 0, last, 350, 350]])  # repeated, the last code
+        stacked = np.stack([codes[t:t + length] for t in take])
+        for strategy in _widest_strategies(matrix_dim(length)):
+            want = hash_codes(stacked, strategy)
+            with mock.patch.object(dnaphash.hashing, "_WORKSPACE_CELLS", cells):
+                got = _hash_rows(sliding_window_view(codes, length), take, strategy)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("codes", [
+        np.array([[0, 1, 2, 256] * 25], dtype=np.int64),
+        np.array([[0, 1, 2, -256] * 25], dtype=np.int64),
+        np.array([[0, 1, 2, 1.9] * 25])])
+    def test_rejects_codes_before_casting(self, codes):
+        # a cast to uint8 would wrap 256 and -256 to 0 and truncate 1.9 to 1
+        with pytest.raises(ValueError, match="base codes must"):
+            hash_codes(codes, BLOCK64)
 
     def test_empty_batch(self):
         assert hash_codes(np.zeros((0, 100), dtype=np.uint8), BLOCK64).shape == (0, 8)

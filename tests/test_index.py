@@ -123,10 +123,10 @@ class TestBuild:
             assert rid == seq.id
             assert h == compute_hash(seq, BLOCK64)
 
-    def test_interleaved_lengths_across_gather_chunks(self):
-        # The 20 kbp records sit at uneven starts and outnumber one gather
-        # chunk; the 20,001 and 19,999 bp ones are evenly spaced views.
-        chunk = dnaphash.hashing._WORKSPACE_CELLS // 20_000
+    def test_interleaved_lengths_across_kernel_chunks(self):
+        # The 20 kbp records sit at uneven starts and outnumber one kernel
+        # chunk, which holds fewer than this many matrices of side 142.
+        chunk = dnaphash.hashing._WORKSPACE_CELLS // (142 * 142)
         lengths = [(20_000, 20_001, 20_000, 19_999)[i % 4] for i in range(4 * (chunk // 2 + 2))]
         assert lengths.count(20_000) > chunk
         rng = sequence_rng(13, 0)
