@@ -3,17 +3,18 @@
 Exit codes: 0 success, 1 usage error, 2 data error (bad bases, mismatched
 hash shapes), 3 I/O or index-format error. File outputs are written to a
 temp file in the target directory, fsynced and moved into place, so a
-failed run never leaves a partial artifact behind.
+failed run never leaves a partial artifact behind; a FIFO or a device is
+written in place.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import logging
 import math
 import os
+import stat
 import sys
 import tempfile
 from typing import Iterator
@@ -84,10 +85,21 @@ def _atomic_write(path: str | None, *, binary: bool = False):
     The temp file takes a new file's mode (0666 less the umask), is fsynced,
     renamed over ``path``, and then the directory is fsynced, so after a
     crash ``path`` holds either its old content or the whole new one. No
-    path, or ``-``, is stdout.
+    path, or ``-``, is stdout. A path that exists and is not a regular file,
+    such as a FIFO or a device, is opened and written in place: a rename
+    would replace the node with a file.
     """
     if path in (None, "-"):
         yield sys.stdout.buffer if binary else sys.stdout
+        return
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with (open(path, "wb") if binary
+              else open(path, "w", encoding="utf-8", newline="")) as handle:
+            yield handle
         return
     directory = os.path.dirname(os.path.abspath(path))
     with _naming(path):
@@ -126,9 +138,9 @@ def _batches(paths: list[str], n_policy: str) -> Iterator[_Batch]:
     """The records of each FASTA file in turn ('-', or none, is stdin)."""
     for path in paths or ["-"]:
         if path == "-":
-            # A replaced sys.stdin may be a text stream without a byte buffer.
-            stdin = getattr(sys.stdin, "buffer", None) or io.BytesIO(sys.stdin.read().encode())
-            yield from _stream_fasta(stdin, n_policy=n_policy)
+            if sys.stdin is None:  # fd 0 was closed when the process started
+                raise OSError("stdin is closed")
+            yield from _stream_fasta(sys.stdin.buffer, n_policy=n_policy)
         else:
             with open(path, "rb") as handle:
                 yield from _stream_fasta(handle, n_policy=n_policy)

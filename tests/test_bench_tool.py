@@ -1,0 +1,69 @@
+"""``tools/bench.py``, run end to end at small sizes so that it cannot rot."""
+
+import importlib.util
+import io
+import json
+import zlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dnaphash import cli, load_index
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_tool", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for name, value in {"RECORDS": 3, "RECORD_LEN": 20_000, "PROBES": 6, "ROWS": (2000,),
+                        "WIDTHS": (32, 100), "MIN_SECONDS": 0.05, "MIN_SAMPLES": 3}.items():
+        monkeypatch.setattr(module, name, value)
+    return module
+
+
+def _run(bench, tmp_path, suite):
+    out = tmp_path / f"{suite}.json"
+    assert bench.main([suite, "-o", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert list(report) == ["benchmark", "command", "constants", "machine", "results"]
+    assert report["benchmark"] == suite
+    assert report["constants"]["min_samples"] == 3
+    assert list(report["machine"]) == ["cpu", "cores", "python", "numpy", "platform"]
+    for row in report["results"]:
+        timed = [key[:-2] for key in row if key.endswith("_s")]
+        assert timed and all(row[f"{name}_samples"] >= 3 and row[f"{name}_s"] > 0
+                             for name in timed)
+    return report["results"]
+
+
+def test_scan(bench, tmp_path, capsys):
+    rows = _run(bench, tmp_path, "scan")
+    assert [(row["rows"], row["width"]) for row in rows] == [(2000, 32), (2000, 100)]
+    assert all(list(row) == ["rows", "width", "distances_s", "distances_samples",
+                             "query_topk_s", "query_topk_samples"] for row in rows)
+    assert len(capsys.readouterr().err.splitlines()) == 2  # one progress line per row
+
+
+def test_query(bench, tmp_path, capsys):
+    rows = _run(bench, tmp_path, "query")
+    assert [row["step"] for row in rows] == [100, 10]
+    assert len(capsys.readouterr().err.splitlines()) == 2
+    # The same inputs and command, rebuilt here, give the index each row describes.
+    records, _ = bench._write_inputs(np.random.default_rng(bench.SEED), str(tmp_path))
+    for row in rows:
+        assert list(row) == ["step", "windows", "index_crc32", "index_s", "index_samples",
+                             "load_index_s", "load_index_samples", "topk_lines", "topk_crc32",
+                             "topk_s", "topk_samples", "range_lines", "range_crc32", "range_s",
+                             "range_samples"]
+        path = str(tmp_path / f"step{row['step']}.dph")
+        assert cli.main(["index", records, "-o", path, "--window", str(bench.WINDOW),
+                         "--step", str(row["step"]), "--width", "32", "--strategy", "zigzag"]) == 0
+        with open(path, "rb") as handle:
+            data = handle.read()
+        assert row["windows"] == len(load_index(io.BytesIO(data)))
+        assert row["index_crc32"] == f"{zlib.crc32(data[:-4]):08x}"
+        assert row["topk_lines"] == bench.PROBES * bench.TOP_K

@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 import zlib
 
@@ -60,9 +61,21 @@ class TestHash:
         assert out["r2"] == compute_hash(Sequence("r2", "GATTACA" * 40), strat).to_hex()
 
     def test_reads_stdin(self, monkeypatch, capsys):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(">p\n" + "A" * 16 + "\n"))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b">p\n" + b"A" * 16 + b"\n")))
         assert run_cli("hash", "--width", "4") == 0
         assert capsys.readouterr().out == "p\t8\n"
+
+    @pytest.mark.parametrize("command", ["hash", "query"])
+    def test_closed_stdin_exits_3(self, command, small_fasta, tmp_path, monkeypatch, capsys):
+        argv = ["hash", "--width", "4"]
+        if command == "query":
+            idx = str(tmp_path / "s.dph")
+            assert run_cli("index", small_fasta, "-o", idx, "--width", "4") == 0
+            argv = ["query", idx, "-", "--top-k", "1"]
+        monkeypatch.setattr(sys, "stdin", None)  # what Python sets when fd 0 is closed at start
+        assert run_cli(*argv) == 3
+        err = capsys.readouterr().err
+        assert "stdin is closed" in err and "Traceback" not in err
 
     def test_zigzag_choice_for_nonsquare_width(self, tmp_path, capsys):
         fa = write_fasta(tmp_path / "x.fa", [("r", "ACGT" * 32)])
@@ -637,6 +650,30 @@ class TestAtomicWrites:
         assert f"Is a directory: '{target}'" in err and ".dnaphash-" not in err
         assert sorted(os.listdir(tmp_path)) == ["in.fa", "out"] and os.listdir(target) == []
 
+    @pytest.mark.parametrize("command", ["index", "simulate"])
+    def test_fifo_target_stays_a_fifo(self, command, tmp_path, small_fasta):
+        argv = {"index": ["index", small_fasta, "--width", "16"],
+                "simulate": ["simulate", "--group", "A", "-n", "10"]}[command]
+        regular = tmp_path / "regular"
+        assert run_cli(*argv, "-o", str(regular)) == 0
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        keep = tmp_path / "fifo.keep"  # reaches the FIFO even if a rename replaces ``fifo``
+        os.link(fifo, keep)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            code = run_cli(*argv, "-o", str(fifo))
+        finally:
+            reader.join(timeout=10)
+            if reader.is_alive():  # still blocked in open: no writer came, so be one
+                os.close(os.open(keep, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert code == 0 and stat.S_ISFIFO(fifo.stat().st_mode)
+        assert got == [regular.read_bytes()]
+
     def test_simulate_failure_preserves_existing_file(self, tmp_path):
         out = tmp_path / "h.csv"
         out.write_text("keep me")
@@ -657,6 +694,16 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout == "z\t8\n"
+
+    def test_closed_stdin_exits_3(self):
+        proc = subprocess.run(
+            ["/bin/sh", "-c", 'exec "$@" <&-', "sh", sys.executable, "-m", "dnaphash", "hash"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "stdin is closed" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_runs_without_scipy(self, tmp_path):
         # numpy is the only runtime dependency: with scipy unimportable,

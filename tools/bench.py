@@ -1,0 +1,222 @@
+"""Time the Hamming scan or the ``index``/``query`` round trip, and write it as JSON.
+
+    PYTHONPATH=src python3 tools/bench.py scan|query [-o BENCH_<suite>.json]
+
+``scan``: for each row count (20k and 1M) and hash width (32 to 4096 bits)
+it builds an index of random hashes, warms it with one probe, and times
+random probes one at a time: ``index._distances`` alone, and ``query_topk``
+with k = 10 (scan, selection and ranking). At 1M rows and 4096 bits the
+hashes take 512 MB, and a scan may hold as much again.
+
+``query``: it writes 12 random records of about 200 kbp and 40 probes of
+1000 bp (even ones a window with 50 substitutions, odd ones random: the
+long-records shape) to a temp directory, and indexes them with ``dnaphash
+index --window 1000 --width 32 --strategy zigzag`` at step 100 (about 24k
+windows) and at step 10 (about 240k). For each step it times that
+``cli.main(["index", ...])`` build, ``load_index``, and ``cli.main(["query",
+...])`` with ``--top-k 10`` and with ``--max-dist 8``, stdout sent to a null
+sink. It also reports the index file's CRC-32 (its trailer: the CRC-32 of
+every byte before it), and each query's line count and the CRC-32 of its
+output, so two checkouts can be checked for the same files and output.
+
+Every timing is the median seconds per call over at least ``MIN_SECONDS``
+and ``MIN_SAMPLES`` calls, so that it spans more than one of a shared
+host's slow spells. The package comes from whichever ``dnaphash`` is first
+on ``PYTHONPATH``, so the same command times two checkouts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+import zlib
+
+import numpy as np
+
+from dnaphash import PerceptualHash, SelectionStrategy, cli, load_index
+from dnaphash.index import HashIndex, _distances, query_topk
+
+SEED = 0
+MIN_SECONDS = 2.0
+MIN_SAMPLES = 21
+PROBES = 40
+TOP_K = 10
+ROWS = (20_000, 1_000_000)
+WIDTHS = (32, 64, 100, 256, 1024, 4096)
+RECORDS = 12
+RECORD_LEN = 200_000
+SUBSTITUTIONS = 50
+WINDOW = 1000
+STEPS = (100, 10)
+MAX_DIST = 8
+
+_BASES = np.frombuffer(b"ATCG", dtype=np.uint8)
+
+
+def _time(row: dict, name: str, fn) -> None:
+    """Set ``row[name + "_s"]`` to the median seconds of ``fn(i)``, i = 0, 1, ...,
+    and ``row[name + "_samples"]`` to the number of calls."""
+    times: list[float] = []
+    total = 0.0
+    while total < MIN_SECONDS or len(times) < MIN_SAMPLES:
+        start = time.perf_counter()
+        fn(len(times))
+        times.append(time.perf_counter() - start)
+        total += times[-1]
+    row[f"{name}_s"] = statistics.median(times)
+    row[f"{name}_samples"] = len(times)
+
+
+def _random_rows(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
+    """n random packed hashes of ``width`` bits, padded to whole words, as uint8."""
+    nbytes = (width + 7) // 8
+    rows = np.zeros((n, -(-nbytes // 8) * 8), dtype=np.uint8)
+    for start in range(0, n, 1 << 16):  # in blocks, to hold no second copy
+        block = rows[start:start + (1 << 16)]
+        block[:, :nbytes] = rng.integers(0, 256, size=(len(block), nbytes), dtype=np.uint8)
+    rows[:, nbytes - 1] &= (0xFF << (8 * nbytes - width)) & 0xFF
+    return rows
+
+
+def scan():
+    """Yield one row per (row count, width): the per-probe scan and top-k times."""
+    rng = np.random.default_rng(SEED)
+    for n in ROWS:
+        ids = tuple(f"r{i}" for i in range(n))
+        source_len = np.zeros(n, dtype=np.uint32)
+        for width in WIDTHS:
+            strategy = SelectionStrategy("zigzag", width)
+            index = HashIndex(strategy, ids, source_len, _random_rows(rng, n, width))
+            nbytes = (width + 7) // 8
+            probes = [PerceptualHash(row[:nbytes].tobytes(), strategy)
+                      for row in _random_rows(rng, PROBES, width)]
+            query_topk(index, probes[0], TOP_K)  # builds the index's cached columns
+            row = {"rows": n, "width": width}
+            _time(row, "distances", lambda i: _distances(index, probes[i % PROBES]))
+            _time(row, "query_topk", lambda i: query_topk(index, probes[i % PROBES], TOP_K))
+            del index
+            yield row
+
+
+def _write_inputs(rng: np.random.Generator, directory: str) -> tuple[str, str]:
+    """Write the records and the probes as FASTA; return both paths."""
+    sizes = rng.integers(RECORD_LEN - RECORD_LEN // 40, RECORD_LEN + RECORD_LEN // 40 + 1,
+                         size=RECORDS)
+    records = [rng.integers(0, 4, size=int(n), dtype=np.uint8) for n in sizes]  # base codes
+    probes = []
+    for j in range(PROBES):
+        if j % 2:
+            probes.append(rng.integers(0, 4, size=WINDOW, dtype=np.uint8))
+            continue
+        parent = records[int(rng.integers(0, RECORDS))]
+        start = int(rng.integers(0, (len(parent) - WINDOW) // STEPS[0] + 1)) * STEPS[0]
+        probe = parent[start:start + WINDOW].copy()
+        at = rng.choice(WINDOW, size=SUBSTITUTIONS, replace=False)
+        probe[at] = (probe[at] + rng.integers(1, 4, size=SUBSTITUTIONS, dtype=np.uint8)) % 4
+        probes.append(probe)
+    paths = []
+    for name, prefix, seqs in (("records.fa", b"chr", records), ("probes.fa", b"q", probes)):
+        path = os.path.join(directory, name)
+        with open(path, "wb") as handle:
+            for i, codes in enumerate(seqs):
+                handle.write(b">%s%d\n%s\n" % (prefix, i, _BASES[codes].tobytes()))
+        paths.append(path)
+    return paths[0], paths[1]
+
+
+def _cli(argv: list[str], sink) -> None:
+    with contextlib.redirect_stdout(sink):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"dnaphash {' '.join(argv)} exited {code}")
+
+
+def _load(path: str) -> None:
+    with open(path, "rb") as handle:
+        load_index(handle)
+
+
+def query():
+    """Yield one row per step: the index build, load and query times, with CRC-32s."""
+    with tempfile.TemporaryDirectory(prefix="bench-query-") as directory, \
+            open(os.devnull, "w", encoding="utf-8") as null:
+        records, probes = _write_inputs(np.random.default_rng(SEED), directory)
+        for step in STEPS:
+            index = os.path.join(directory, f"step{step}.dph")
+            build = ["index", records, "-o", index, "--window", str(WINDOW), "--step", str(step),
+                     "--width", "32", "--strategy", "zigzag"]
+            _cli(build, null)
+            with open(index, "rb") as handle:
+                data = handle.read()
+            # The CRC-32 of a whole file that ends in its own CRC-32 is a constant.
+            row = {"step": step, "windows": len(load_index(io.BytesIO(data))),
+                   "index_crc32": f"{zlib.crc32(data[:-4]):08x}"}
+            del data
+            _time(row, "index", lambda i: _cli(build, null))
+            _time(row, "load_index", lambda i: _load(index))
+            for mode, flag in (("topk", ["--top-k", str(TOP_K)]),
+                               ("range", ["--max-dist", str(MAX_DIST)])):
+                argv = ["query", index, probes, *flag]
+                text = io.StringIO()
+                _cli(argv, text)
+                out = text.getvalue().encode("utf-8")
+                row[f"{mode}_lines"] = out.count(b"\n")
+                row[f"{mode}_crc32"] = f"{zlib.crc32(out):08x}"
+                del text, out
+                _time(row, mode, lambda i: _cli(argv, null))
+            yield row
+
+
+# Each suite, and the constants that size it.
+SUITES = {
+    "scan": (scan, ("ROWS", "WIDTHS", "PROBES", "TOP_K")),
+    "query": (query, ("RECORDS", "RECORD_LEN", "PROBES", "SUBSTITUTIONS", "WINDOW", "STEPS",
+                      "TOP_K", "MAX_DIST")),
+}
+
+
+def _machine() -> dict:
+    cpu = platform.processor()
+    with contextlib.suppress(OSError), open("/proc/cpuinfo") as handle:
+        cpu = next((line.split(":", 1)[1].strip() for line in handle
+                    if line.startswith("model name")), cpu)
+    return {"cpu": cpu, "cores": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "platform": platform.platform()}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("suite", choices=SUITES)
+    parser.add_argument("-o", "--output", help="JSON file to write (default BENCH_<suite>.json)")
+    args = parser.parse_args(argv)
+    suite, sizes = SUITES[args.suite]
+    results = []
+    for row in suite():
+        results.append(row)
+        print("  ".join(f"{key[:-2]} {1e3 * value:9.3f} ms" if key.endswith("_s") else
+                        f"{key} {value}" for key, value in row.items()
+                        if not key.endswith("_samples")), file=sys.stderr)
+    report = {
+        "benchmark": args.suite,
+        "command": f"PYTHONPATH=src python3 tools/bench.py {args.suite}",
+        "constants": {name.lower(): globals()[name]
+                      for name in ("SEED", "MIN_SECONDS", "MIN_SAMPLES", *sizes)},
+        "machine": _machine(),
+        "results": results,
+    }
+    with open(args.output or f"BENCH_{args.suite}.json", "w") as handle:
+        json.dump(report, handle, indent=2)
+        handle.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
