@@ -23,14 +23,14 @@ import numpy as np
 
 from .bench import run_bench
 from .errors import DataError, IndexFormatError
-from .hashing import STRATEGY_KINDS, PerceptualHash, SelectionStrategy, _hash_batches
+from .hashing import STRATEGY_KINDS, SelectionStrategy, _hash_batches
 from .index import (
     HashIndex,
     _build,
     _check_k,
     _gather_ids,
-    _range_rows,
-    _topk_rows,
+    _nearest,
+    _pad_rows,
     index_bytes,
     load_index,
 )
@@ -178,17 +178,13 @@ def cmd_index(args) -> int:
 def cmd_query(args) -> int:
     with open(args.index, "rb") as handle:
         index = load_index(handle)
-    probes, rows, lengths = _hash_batches(_batches([args.fasta], args.n_policy), index.strategy)
+    probes, rows, _ = _hash_batches(_batches([args.fasta], args.n_policy), index.strategy)
     if args.top_k is not None:
         _check_k(index, args.top_k)
     elif not 0 <= args.max_dist <= index.width:
         raise UsageError(f"--max-dist must be within 0..{index.width}, got {args.max_dist}")
-    for pid, row, length in zip(probes, rows, lengths.tolist()):
-        probe = PerceptualHash(row.tobytes(), index.strategy, source_len=length)
-        if args.top_k is not None:
-            hits, dist = _topk_rows(index, probe, args.top_k)
-        else:
-            hits, dist = _range_rows(index, probe, args.max_dist)
+    for pid, words in zip(probes, _pad_rows(rows).view(np.uint64)):
+        hits, dist = _nearest(index, words, k=args.top_k, max_dist=args.max_dist)
         sys.stdout.write(_hit_lines(pid, index, hits, dist))
     return EXIT_OK
 

@@ -308,14 +308,14 @@ def _hash_rows(codes: np.ndarray, take: np.ndarray | None,
     return out
 
 
-def _misfit(ids: list[str], lengths, strategy: SelectionStrategy) -> StrategyTooLarge | None:
+def _misfit(ids: list[str], lengths, strategy: SelectionStrategy) -> StrategyTooLarge:
     """The error naming the first record, in input order, that ``strategy`` does not fit."""
     for i in np.sort(np.unique(lengths, return_index=True)[1]).tolist():  # each length once
         try:
             _selection_arrays(strategy, matrix_dim(int(lengths[i])))
         except StrategyTooLarge as exc:
             return StrategyTooLarge(f"record {ids[i]!r}: {exc}")
-    return None
+    raise AssertionError("every record fits")
 
 
 def _hash_records(starts: np.ndarray, lengths: np.ndarray, codes: np.ndarray,
@@ -324,7 +324,8 @@ def _hash_records(starts: np.ndarray, lengths: np.ndarray, codes: np.ndarray,
 
     Record i is ``codes[starts[i]:starts[i] + lengths[i]]``. Records of one
     length are hashed together, as the rows of the codes' windows of that
-    length that start at their starts. Check :func:`_misfit` first.
+    length that start at their starts, shortest first: fit grows with
+    length, so a misfit raises StrategyTooLarge before any row is hashed.
     """
     out = np.empty((len(lengths), (strategy.k + 7) // 8), dtype=np.uint8)
     order = np.argsort(lengths, kind="stable")
@@ -348,9 +349,11 @@ def _hash_batches(batches: Iterable[_Batch],
     lengths: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     misfit = None
     for batch in batches:
-        misfit = misfit or _misfit(batch.ids, batch.lengths, strategy)
         if misfit is None:
-            rows.append(_hash_records(batch.starts, batch.lengths, batch.codes, strategy))
+            try:
+                rows.append(_hash_records(batch.starts, batch.lengths, batch.codes, strategy))
+            except StrategyTooLarge:  # raised for the shortest misfit, not the first
+                misfit = _misfit(batch.ids, batch.lengths, strategy)
         ids.extend(batch.ids)
         lengths.append(batch.lengths)
         del batch  # before the next read: a batch may hold one long record
@@ -360,8 +363,8 @@ def _hash_batches(batches: Iterable[_Batch],
 
 
 def compute_hash(seq: Sequence, strategy: SelectionStrategy) -> PerceptualHash:
-    """Hash one sequence: a one-row :func:`hash_codes` batch."""
-    row = hash_codes(codes_from_bases(seq.bases)[None], strategy)[0]
+    """Hash one sequence: a one-row :func:`_hash_rows` batch of its checked codes."""
+    row = _hash_rows(codes_from_bases(seq.bases)[None], None, strategy)[0]
     return PerceptualHash(data=row.tobytes(), strategy=strategy, source_len=len(seq))
 
 

@@ -241,7 +241,8 @@ def _windows(batches: Iterable[_Batch], window: int, step: int) -> Iterator[_Bat
         _warn_short(rid, length, window)
 
 
-def _check_compatible(index: HashIndex, probe: PerceptualHash) -> None:
+def _words(index: HashIndex, probe: PerceptualHash) -> np.ndarray:
+    """A compatible ``probe`` as uint64 words, laid out as a row of ``index.hashes``."""
     if probe.width != index.width:
         raise WidthMismatch(
             f"query hash is {probe.width} bits, index holds {index.width}-bit hashes"
@@ -250,6 +251,7 @@ def _check_compatible(index: HashIndex, probe: PerceptualHash) -> None:
         raise StrategyMismatch(
             f"query uses {probe.strategy.kind}, index uses {index.strategy.kind}"
         )
+    return np.frombuffer(probe.data.ljust(index.hashes.shape[1], b"\0"), dtype=np.uint64)
 
 
 def _check_k(index: HashIndex, k: int) -> None:
@@ -257,24 +259,31 @@ def _check_k(index: HashIndex, k: int) -> None:
         raise KOutOfRange(f"k must be within 1..{len(index)}, got {k}")
 
 
-def _distances(index: HashIndex, probe: PerceptualHash) -> np.ndarray:
-    """Hamming distance from a compatible ``probe`` to every record, as uint16[N].
+def _distances(index: HashIndex, words: np.ndarray) -> np.ndarray:
+    """Hamming distance from a probe's uint64 ``words`` to every record, as uint16[N].
 
     uint16 holds the largest distance, 4096 bits, and selects fastest: on a
     2-core Xeon with numpy 2.4.6, ``np.partition`` of 20k distances took
     about 11 µs as uint16, against 31 µs as uint64 and 117 µs as uint8.
     """
-    q = np.frombuffer(probe.data.ljust(index.hashes.shape[1], b"\0"), dtype=np.uint64)
     columns = index._columns
-    dist = np.bitwise_count(columns[0] ^ q[0]).astype(np.uint16)
-    for column, word in zip(columns[1:], q[1:]):
+    dist = np.bitwise_count(columns[0] ^ words[0]).astype(np.uint16)
+    for column, word in zip(columns[1:], words[1:]):
         dist += np.bitwise_count(column ^ word)
     return dist
 
 
-def _ranked(index: HashIndex, rows: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """The given rows, closest first, ties by id."""
-    return rows[np.lexsort((index._id_rank[rows], dist[rows]))]
+def _nearest(index: HashIndex, words: np.ndarray, *, k: int | None = None,
+             max_dist: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The rows within ``max_dist`` of the probe ``words``, or its ``k`` nearest, closest
+    first, ties by id; and every record's distance. The caller checks the arguments."""
+    dist = _distances(index, words)
+    if k is not None:
+        # Every record at the kth distance is a candidate, so the id tie-break
+        # picks among all of them, exactly as a full sort would.
+        max_dist = np.partition(dist, k - 1)[k - 1]
+    rows = np.flatnonzero(dist <= max_dist)
+    return rows[np.lexsort((index._id_rank[rows], dist[rows]))][:k], dist
 
 
 def _gather_ids(index: HashIndex, rows: list[int]) -> tuple[str, ...]:
@@ -289,35 +298,19 @@ def _hits(index: HashIndex, rows: np.ndarray, dist: np.ndarray) -> list[tuple[st
     return list(zip(_gather_ids(index, rows.tolist()), dist[rows].tolist()))
 
 
-def _range_rows(index: HashIndex, probe: PerceptualHash,
-                max_dist: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of :func:`query`'s hits, in its order, and every record's distance."""
-    _check_compatible(index, probe)
-    if not 0 <= max_dist <= index.width:
-        raise ValueError(f"max_dist must be within 0..{index.width}, got {max_dist}")
-    dist = _distances(index, probe)
-    return _ranked(index, np.flatnonzero(dist <= max_dist), dist), dist
-
-
-def _topk_rows(index: HashIndex, probe: PerceptualHash, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of :func:`query_topk`'s hits, in its order, and every record's distance."""
-    _check_compatible(index, probe)
-    _check_k(index, k)
-    dist = _distances(index, probe)
-    # Every record at the kth distance is a candidate, so the id tie-break
-    # picks among all of them, exactly as a full sort would.
-    kth = np.partition(dist, k - 1)[k - 1]
-    return _ranked(index, np.flatnonzero(dist <= kth), dist)[:k], dist
-
-
 def query(index: HashIndex, probe: PerceptualHash, max_dist: int) -> list[tuple[str, int]]:
     """All (id, distance) pairs within ``max_dist``, closest first, ties by id."""
-    return _hits(index, *_range_rows(index, probe, max_dist))
+    words = _words(index, probe)
+    if not 0 <= max_dist <= index.width:
+        raise ValueError(f"max_dist must be within 0..{index.width}, got {max_dist}")
+    return _hits(index, *_nearest(index, words, max_dist=max_dist))
 
 
 def query_topk(index: HashIndex, probe: PerceptualHash, k: int) -> list[tuple[str, int]]:
     """The k nearest (id, distance) pairs, closest first, ties by id."""
-    return _hits(index, *_topk_rows(index, probe, k))
+    words = _words(index, probe)
+    _check_k(index, k)
+    return _hits(index, *_nearest(index, words, k=k))
 
 
 def index_bytes(index: HashIndex) -> bytes:
@@ -411,8 +404,9 @@ def load_index(source: BinaryIO) -> HashIndex:
         )
 
     try:
-        strategy = SelectionStrategy(kind=STRATEGY_KINDS[tag] if tag < len(STRATEGY_KINDS) else "?",
-                                     k=width)
+        if tag >= len(STRATEGY_KINDS):
+            raise ValueError(f"unknown strategy tag {tag}; tags run 0..{len(STRATEGY_KINDS) - 1}")
+        strategy = SelectionStrategy(kind=STRATEGY_KINDS[tag], k=width)
     except ValueError as exc:
         raise UnsupportedVersion(f"header does not decode to a known strategy: {exc}") from None
 

@@ -123,6 +123,21 @@ class TestHash:
         assert "tiny" not in captured.err and "ok:0" not in captured.err
         assert sorted(os.listdir(tmp_path)) == ["a.fa", "b.fa"]
 
+    @pytest.mark.parametrize("command", [["hash"], ["index", "-o", "x.dph"]],
+                             ids=["hash", "index"])
+    def test_misfit_in_an_earlier_file_wins_over_a_shorter_one(self, command, tmp_path,
+                                                                monkeypatch, capsys):
+        # 'mid' (48 bp, a 7x7 matrix) and 'tiny' (8 bp) do not fit 64 bits
+        monkeypatch.chdir(tmp_path)
+        a = write_fasta(tmp_path / "a.fa", [("ok", "ACGT" * 32), ("mid", "ACGT" * 12)])
+        b = write_fasta(tmp_path / "b.fa", [("tiny", "ACGTACGT"), ("fine", "ACGT" * 32)])
+        assert run_cli(*command, "--width", "64", a, b) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "record 'mid': block side 8 does not fit a 7x7 matrix" in captured.err
+        assert "tiny" not in captured.err
+        assert sorted(os.listdir(tmp_path)) == ["a.fa", "b.fa"]
+
     def test_non_utf8_input_is_a_data_error(self, tmp_path, capsys):
         bad_base = tmp_path / "base.fa"
         bad_base.write_bytes(b">a\nAC\xffGT\n")
@@ -381,25 +396,31 @@ class TestIndexAndQuery:
         assert run_cli("query", idx, str(empty), "--top-k", "0") == 2
         assert "k must be within 1..5, got 0" in capsys.readouterr().err
 
-    def test_output_equals_library_results(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, window, max_dist, none", [
+        (["--width", "32"], 64, 4, "ACGTTGCA" * 4 + "ACGTAGCA" + "ACGTTGCA" * 3),
+        (["--width", "100", "--strategy", "zigzag"], 96, 27, ("GATTACA" * 14)[:96]),
+    ], ids=["width32", "width100-zigzag"])
+    def test_output_equals_library_results(self, flags, window, max_dist, none, tmp_path,
+                                           capsys):
         # Windows of periodic parents tie in runs of many equal distances,
         # with ids whose str order is not their offset order ("chr:16" before
-        # "chr:8"); one parent and one probe have non-ASCII ids.
+        # "chr:8"); one parent and one probe have non-ASCII ids. A 100-bit
+        # probe spans two words. 'none' is within no record's max_dist.
         rng = np.random.default_rng(3)
         rand = "".join(rng.choice(list("ACGT"), size=300))
         corpus = write_fasta(tmp_path / "c.fa", [
             ("chr", "ACGTTGCA" * 40), ("染色体", rand), ("z", "GGTTAACC" * 40)])
-        probes = [("tie", "ACGTTGCA" * 8), ("none", "ACGTTGCA" * 4 + "ACGTAGCA" + "ACGTTGCA" * 3),
-                  ("const", "A" * 64), ("é", rand[5:69])]
+        probes = [("tie", "ACGTTGCA" * (window // 8)), ("none", none),
+                  ("const", "A" * window), ("é", rand[5:5 + window])]
         probe_fa = write_fasta(tmp_path / "p.fa", probes)
         idx = str(tmp_path / "c.dph")
-        assert run_cli("index", corpus, "-o", idx, "--width", "32", "--window", "64",
+        assert run_cli("index", corpus, "-o", idx, *flags, "--window", str(window),
                        "--step", "1") == 0
         with open(idx, "rb") as fh:
             index = load_index(fh)
         hashes = {pid: compute_hash(Sequence(pid, bases), index.strategy) for pid, bases in probes}
         results = {}
-        for flag, value, search in (("--max-dist", 4, query), ("--top-k", 40, query_topk)):
+        for flag, value, search in (("--max-dist", max_dist, query), ("--top-k", 40, query_topk)):
             capsys.readouterr()
             assert run_cli("query", idx, probe_fa, flag, str(value)) == 0
             results[flag] = {pid: search(index, h, value) for pid, h in hashes.items()}

@@ -282,14 +282,16 @@ class TestQuery:
     def test_width_mismatch(self):
         idx = _random_index(5, ZIGZAG32)
         probe = PerceptualHash.from_bits([0] * 64, BLOCK64)
-        with pytest.raises(WidthMismatch):
-            query(idx, probe, max_dist=3)
+        for search in (query, query_topk):  # max_dist 3, or k 3
+            with pytest.raises(WidthMismatch, match="query hash is 64 bits, index holds 32-bit"):
+                search(idx, probe, 3)
 
     def test_strategy_mismatch(self):
         idx = _random_index(5, ZIGZAG32)
         probe = PerceptualHash.from_bits([0] * 32, SelectionStrategy("zigzag_skip_dc", 32))
-        with pytest.raises(StrategyMismatch):
-            query(idx, probe, max_dist=3)
+        for search in (query, query_topk):
+            with pytest.raises(StrategyMismatch, match="query uses zigzag_skip_dc, index uses zigzag"):
+                search(idx, probe, 3)
 
 
 class TestTopK:
@@ -510,6 +512,41 @@ class TestCorruption:
         blob[at:at + 2] = b"a1"
         with pytest.raises(IndexFormatError, match="duplicate"):
             self._parse(self._fix_crc(blob), tmp_path)
+
+    def test_unknown_strategy_tag_named(self, tmp_path):
+        blob = self._blob()
+        blob[8] = 7  # the strategy tag
+        with pytest.raises(UnsupportedVersion, match="unknown strategy tag 7; tags run 0..2"):
+            self._parse(self._fix_crc(blob), tmp_path)
+
+    # Each file has two faults; the check that load_index makes first names
+    # its fault. Checks run: header size, magic, version, record structure
+    # and trailing bytes, CRC, strategy tag and width, records.
+    @pytest.mark.parametrize("fault, error, match", [
+        ("short_header_bad_magic", TruncatedFile, "10 bytes"),
+        ("bad_magic_trailing_bytes", BadMagic, "NOPE"),
+        ("bad_version_truncated_records", UnsupportedVersion, "version 99"),
+        ("trailing_bytes_stale_crc", TruncatedFile, "5 unexpected bytes"),
+        ("stale_crc_bad_tag", ChecksumMismatch, "stored CRC-32"),
+        ("bad_tag_duplicate_ids", UnsupportedVersion, "strategy tag 7"),
+        ("bad_width_duplicate_ids", UnsupportedVersion, "square bit count, got 32"),
+    ])
+    def test_first_check_wins(self, fault, error, match, tmp_path):
+        seqs = [Sequence("a1", "ACGT" * 25), Sequence("a2", "TTGA" * 25)]
+        blob = bytearray(index_bytes(build_index(seqs, ZIGZAG32)))
+        at = blob.index(b"a2")
+        duplicate = blob[:at] + b"a1" + blob[at + 2:]
+        blob = {
+            "short_header_bad_magic": b"NOPE" + blob[4:10],
+            "bad_magic_trailing_bytes": b"NOPE" + blob[4:] + b"extra",
+            "bad_version_truncated_records": blob[:4] + struct.pack("<H", 99) + blob[6:30],
+            "trailing_bytes_stale_crc": blob + b"extra",
+            "stale_crc_bad_tag": blob[:8] + b"\x07" + blob[9:],
+            "bad_tag_duplicate_ids": self._fix_crc(duplicate[:8] + b"\x07" + duplicate[9:]),
+            "bad_width_duplicate_ids": self._fix_crc(duplicate[:8] + b"\x00" + duplicate[9:]),
+        }[fault]
+        with pytest.raises(error, match=match):
+            self._parse(blob, tmp_path)
 
     def test_fuzzed_files_raise_only_format_errors(self):
         # Byte flips, with the CRC repaired half of the time so that the

@@ -4,8 +4,10 @@
 
 ``scan``: for each row count (20k and 1M) and hash width (32 to 4096 bits)
 it builds an index of random hashes, warms it with one probe, and times
-random probes one at a time: ``index._distances`` alone, and ``query_topk``
-with k = 10 (scan, selection and ranking). At 1M rows and 4096 bits the
+random probes one at a time: ``index._distances`` alone, given each probe
+as the index's row of uint64 words (as ``dnaphash query`` gives it), and
+``query_topk`` with k = 10 (the probe's checks and conversion to words,
+scan, selection and ranking). At 1M rows and 4096 bits the
 hashes take 512 MB, and a scan may hold as much again.
 
 ``query``: it writes 12 random records of about 200 kbp and 40 probes of
@@ -96,11 +98,12 @@ def scan():
             strategy = SelectionStrategy("zigzag", width)
             index = HashIndex(strategy, ids, source_len, _random_rows(rng, n, width))
             nbytes = (width + 7) // 8
-            probes = [PerceptualHash(row[:nbytes].tobytes(), strategy)
-                      for row in _random_rows(rng, PROBES, width)]
+            packed = _random_rows(rng, PROBES, width)
+            words = packed.view(np.uint64)  # each probe as a row of the index's words
+            probes = [PerceptualHash(p[:nbytes].tobytes(), strategy) for p in packed]
             query_topk(index, probes[0], TOP_K)  # builds the index's cached columns
             row = {"rows": n, "width": width}
-            _time(row, "distances", lambda i: _distances(index, probes[i % PROBES]))
+            _time(row, "distances", lambda i: _distances(index, words[i % PROBES]))
             _time(row, "query_topk", lambda i: query_topk(index, probes[i % PROBES], TOP_K))
             del index
             yield row
