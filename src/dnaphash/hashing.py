@@ -15,11 +15,12 @@ a float transform renders those as noise of arbitrary sign, which would
 make the affected bits depend on the kernel and platform. Snapping them
 to zero applies the sign rule's zero branch the way exact arithmetic
 would. The band is safe on both sides: on constant square matrices, the
-noise of :func:`hash_codes` in the cells of selections of up to 64 bits
-stays below 7e-12 through dim 100 and below 2e-10 at the dims sampled
-through 3163 (10 Mbp); for selections of up to 4096 bits it stays below
-8e-11 and 9e-10. The smallest genuinely nonzero coefficient observed for
-integer layouts is ~1e-4.
+noise of the kernel's matrix path in the cells of selections of up to 64
+bits stays below 7e-12 through dim 100 and below 2e-10 at the dims
+sampled through 3163 (10 Mbp); for selections of up to 4096 bits it
+stays below 8e-11 and 9e-10. Its product path (see :func:`_hash_rows`)
+stays below 1.5e-11 in every shape it takes. The smallest genuinely
+nonzero coefficient observed for integer layouts is ~1e-4.
 """
 
 from __future__ import annotations
@@ -48,6 +49,19 @@ ZERO_TOL = 1e-7
 
 #: Float cells (2 MiB) one :func:`hash_codes` chunk may hold: a fixed bound.
 _WORKSPACE_CELLS = 1 << 18
+
+#: A record of L bases hashed to k bits whose L·k is at most this (200 bp
+#: at 64 bits, 400 bp at 32) hashes as one row of ``[codes, 1] @ W``
+#: (:func:`_weights`), which costs about L·k multiply-adds; others as
+#: ``T[:r] @ M @ T[:c].T``. The product won at every shape timed below it
+#: and lost above about 30,000 (CHANGES.md; BENCH_kernel.json).
+_GEMM_MAX_MACS = 200 * 64
+
+#: Multiply-adds up to which OpenBLAS runs a product on the calling thread.
+#: The kernel's products stay within it (stacked blocks of ``[codes, 1] @
+#: W``, blocks of matrix rows), because on a shared 2-core host a threaded
+#: product sometimes stalls for 8 ms, and pooled processes oversubscribe.
+_BLAS_ONE_THREAD = 1 << 18
 
 
 def _zigzag_walk(dim: int) -> Iterator[tuple[int, int]]:
@@ -142,6 +156,24 @@ def _base_offset(strategy: SelectionStrategy, length: int) -> np.ndarray:
     offset = coeffs[rows, cols]
     offset.flags.writeable = False
     return offset
+
+
+@lru_cache(maxsize=128)
+def _weights(strategy: SelectionStrategy, length: int) -> np.ndarray:
+    """(length + 1, k) weights W: a record's selected coefficients are ``[codes, 1] @ W``.
+
+    W[x·dim + y, j] = 64·T[rows_j, x]·T[cols_j, y] over the first
+    ``length`` cells (the pad cells hold 0, so they have no rows), and the
+    last row is :func:`_base_offset`. With L·k at most ``_GEMM_MAX_MACS``
+    and k at most dim² (about L + 2√L + 1), each W is under 104 KB, so the
+    cache holds under 13.3 MB.
+    """
+    rows, cols, scaled, right = _selection_arrays(strategy, matrix_dim(length))
+    dim = scaled.shape[1]
+    w = (scaled[rows].T[:, None, :] * right[:, cols]).reshape(dim * dim, -1)[:length]
+    w = np.vstack([w, _base_offset(strategy, length)])
+    w.flags.writeable = False
+    return w
 
 
 @dataclass(frozen=True)
@@ -266,44 +298,68 @@ def _hash_rows(codes: np.ndarray, take: np.ndarray | None,
                strategy: SelectionStrategy) -> np.ndarray:
     """Packed hashes of the rows ``take`` of (N, L) uint8 base codes, or of every row if None.
 
-    Only the coefficients the selection reads are computed, as ``T[:r] @ M
-    @ T[:c].T``. A base cell of ``M`` holds 63 + 64·code, so the codes are
-    cast to floats as they are, multiplied by 64·T[:r], and the 63 comes
-    back as :func:`_base_offset`. Rows are read in chunks whose float
-    cells, intermediates included, stay within ``_WORKSPACE_CELLS``: a
-    chunk of ``take`` is gathered as it is laid out. A record whose matrix
-    and first product alone outgrow that is laid out a block of matrix
-    rows at a time, and the blocks' products are summed.
+    Only the coefficients the selection reads are computed. A base cell of
+    ``M`` holds 63 + 64·code, so the codes are cast to floats as they are,
+    and the 63 comes back as :func:`_base_offset`. A short record (its
+    length times k at most ``_GEMM_MAX_MACS``) is one row of the product
+    ``[codes, 1] @ W`` (:func:`_weights`), one matmul per chunk, of stacked
+    blocks that OpenBLAS runs on the calling thread. A longer one is laid out
+    as a matrix and transformed as ``T[:r] @ M @ T[:c].T``, with 64·T[:r]
+    as ``scaled``. Rows are read in chunks whose cells, intermediates
+    included, stay within ``_WORKSPACE_CELLS`` floats: a chunk of ``take``
+    is gathered as it is laid out. A record whose matrix and first product
+    alone outgrow that, or whose first product outgrows
+    ``_BLAS_ONE_THREAD``, is laid out a block of matrix rows at a time, and
+    the blocks' products are summed.
     """
     length = codes.shape[1]
     count = codes.shape[0] if take is None else len(take)
-    dim = matrix_dim(length)
-    rows, cols, scaled, right = _selection_arrays(strategy, dim)
-    offset = _base_offset(strategy, length)
     out = np.empty((count, (strategy.k + 7) // 8), dtype=np.uint8)
-    r, c = len(scaled), right.shape[1]
-    height = dim if dim * dim + r * dim <= _WORKSPACE_CELLS else max(1, _WORKSPACE_CELLS // dim)
-    # Per record: a block of rows, scaled @ matrix, its product with right, the selected cells.
-    chunk = max(1, _WORKSPACE_CELLS // (height * dim + r * dim + r * c + strategy.k))
-    cells = np.empty((min(chunk, count), height * dim))
+    gemm = length * strategy.k <= _GEMM_MAX_MACS
+    if gemm:
+        weights = _weights(strategy, length)
+        # Per record: L + 1 float cells and k of product, and at most as much
+        # again for its gathered codes and its mask.
+        chunk = max(1, _WORKSPACE_CELLS // (2 * (length + 1 + strategy.k)))
+        block = min(chunk, max(1, _BLAS_ONE_THREAD // (length * strategy.k)))
+        chunk -= chunk % block
+        cells = np.ones((min(chunk, -(-count // block) * block), length + 1))
+    else:
+        dim = matrix_dim(length)
+        rows, cols, scaled, right = _selection_arrays(strategy, dim)
+        offset = _base_offset(strategy, length)
+        r, c = len(scaled), right.shape[1]
+        height = dim if dim * dim + r * dim <= _WORKSPACE_CELLS else max(1, _WORKSPACE_CELLS // dim)
+        height = min(height, max(1, _BLAS_ONE_THREAD // (r * dim)))
+        # Per record: a block of rows, scaled @ matrix, its product with right, the selected cells.
+        chunk = max(1, _WORKSPACE_CELLS // (height * dim + r * dim + r * c + strategy.k))
+        cells = np.empty((min(chunk, count), height * dim))
     for start in range(0, count, chunk):
         part = slice(start, start + chunk) if take is None else take[start:start + chunk]
         n = min(chunk, count - start)
-        for top in range(0, dim, height):
-            first = top * dim
-            if first >= length:  # rows of pad cells add nothing
-                break
-            h = min(height, dim - top)
-            stop = min(first + h * dim, length)
-            cells[:n, :stop - first] = codes[part, first:stop]
-            cells[:n, stop - first:h * dim] = 0.0
-            term = scaled[:, top:top + h] @ cells[:n, :h * dim].reshape(n, h, dim)
-            if top:
-                product += term
-            else:
-                product = term
-        picked = (product @ right)[:, rows, cols]
-        picked += offset
+        if gemm:
+            cells[:n, :length] = codes[part]
+            if n <= block:
+                picked = cells[:n] @ weights
+            else:  # the last block may run on rows past the chunk's: they are dropped
+                m = -(-n // block) * block
+                picked = (cells[:m].reshape(-1, block, length + 1) @ weights).reshape(m, -1)[:n]
+        else:
+            for top in range(0, dim, height):
+                first = top * dim
+                if first >= length:  # rows of pad cells add nothing
+                    break
+                h = min(height, dim - top)
+                stop = min(first + h * dim, length)
+                cells[:n, :stop - first] = codes[part, first:stop]
+                cells[:n, stop - first:h * dim] = 0.0
+                term = scaled[:, top:top + h] @ cells[:n, :h * dim].reshape(n, h, dim)
+                if top:
+                    product += term
+                else:
+                    product = term
+            picked = (product @ right)[:, rows, cols]
+            picked += offset
         out[start:start + n] = np.packbits(picked > ZERO_TOL, axis=1)
     return out
 
@@ -363,8 +419,19 @@ def _hash_batches(batches: Iterable[_Batch],
 
 
 def compute_hash(seq: Sequence, strategy: SelectionStrategy) -> PerceptualHash:
-    """Hash one sequence: a one-row :func:`_hash_rows` batch of its checked codes."""
-    row = _hash_rows(codes_from_bases(seq.bases)[None], None, strategy)[0]
+    """Hash one sequence, from its checked codes.
+
+    A sequence short enough for the kernel's product path (see
+    :func:`_hash_rows`) is one vector-matrix product, without the kernel's
+    chunk buffers, which cost a single row more than the product does. A
+    longer one is a one-row :func:`_hash_rows` batch.
+    """
+    codes = codes_from_bases(seq.bases)
+    if len(codes) * strategy.k <= _GEMM_MAX_MACS:
+        weights = _weights(strategy, len(codes))
+        row = np.packbits(codes @ weights[:-1] + weights[-1] > ZERO_TOL)
+    else:
+        row = _hash_rows(codes[None], None, strategy)[0]
     return PerceptualHash(data=row.tobytes(), strategy=strategy, source_len=len(seq))
 
 

@@ -209,11 +209,11 @@ def _simulate_chunk(config: SimulationConfig, start: int, stop: int) -> np.ndarr
 
 
 def _chunk_size(config: SimulationConfig) -> int:
-    # Aim for ~6 MB of codes per chunk (hash_codes bounds its floats); the floor of 8
-    # ordinals wins above ~107 kbp with 7 streams, so 8 x 1 Mbp peaked at 105 MB.
+    # At most ~6 MB of codes per chunk (hash_codes bounds its floats), unless one
+    # ordinal alone holds more.
     streams = len(config.divergence_rates) + 1
     cells = matrix_dim(config.seq_len) ** 2
-    return max(8, min(2048, 6_000_000 // (streams * cells)))
+    return max(1, min(2048, 6_000_000 // (streams * cells)))
 
 
 def run_group(config: SimulationConfig, *, keep_pairs: bool = False) -> DistanceHistogram:

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dnaphash import cli, load_index
+import dnaphash.hashing
+from dnaphash import SelectionStrategy, cli, hash_codes, load_index
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
 
@@ -20,7 +21,8 @@ def bench(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     for name, value in {"RECORDS": 3, "RECORD_LEN": 20_000, "PROBES": 6, "ROWS": (2000,),
-                        "WIDTHS": (32, 100), "MIN_SECONDS": 0.05, "MIN_SAMPLES": 3}.items():
+                        "WIDTHS": (32, 100), "KERNEL_LENGTHS": (36, 1000), "KERNEL_BASES": 20_000,
+                        "MIN_SECONDS": 0.05, "MIN_SAMPLES": 3}.items():
         monkeypatch.setattr(module, name, value)
     return module
 
@@ -38,6 +40,26 @@ def _run(bench, tmp_path, suite):
         assert timed and all(row[f"{name}_samples"] >= 3 and row[f"{name}_s"] > 0
                              for name in timed)
     return report["results"]
+
+
+def test_kernel(bench, tmp_path, capsys, monkeypatch):
+    rows = _run(bench, tmp_path, "kernel")
+    assert [(row["function"], row["length"], row["strategy"]) for row in rows] == [
+        ("hash_codes", 36, "block-16"), ("hash_codes", 36, "zigzag-32"),
+        ("hash_codes", 1000, "block-64"), ("hash_codes", 1000, "zigzag-32"),
+        ("compute_hash", 100, "block-64"), ("compute_hash", 1000, "zigzag-32")]
+    assert len(capsys.readouterr().err.splitlines()) == 6
+    # Each CRC-32 is that of the same codes hashed through the matrix path.
+    monkeypatch.setattr(dnaphash.hashing, "_GEMM_MAX_MACS", 0)
+    for row in rows:
+        assert list(row) == ["function", "length", "strategy", "rows", "crc32", "call_s",
+                             "call_samples", "hashes_per_second"]
+        kind, k = row["strategy"].split("-")
+        probes = row["function"] == "compute_hash"
+        codes = bench._kernel_codes(bench.PROBES if probes else row["rows"], row["length"])
+        assert row["rows"] == (1 if probes else 20_000 // row["length"])
+        packed = hash_codes(codes, SelectionStrategy(kind, int(k)))
+        assert row["crc32"] == f"{zlib.crc32(packed):08x}"
 
 
 def test_scan(bench, tmp_path, capsys):

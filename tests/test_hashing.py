@@ -27,7 +27,14 @@ from dnaphash import (
     snap_zeros,
     zigzag_positions,
 )
-from dnaphash.hashing import MAX_WIDTH, STRATEGY_KINDS, _base_offset, _hash_records, _hash_rows
+from dnaphash.hashing import (
+    MAX_WIDTH,
+    STRATEGY_KINDS,
+    _base_offset,
+    _hash_records,
+    _hash_rows,
+    _weights,
+)
 from dnaphash.sequence import CODE_TO_INTENSITY, codes_from_bases, matrix_dim
 from dnaphash.simulate import generate_sequence, sequence_rng
 from dnaphash.transform import basis_rows
@@ -54,6 +61,16 @@ JPEG_ZIGZAG_8 = [
     35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
     58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
 ]
+
+
+def _both_paths():
+    """Yield with every record forced through the kernel's product path, then its matrix path."""
+    try:
+        for macs in (1 << 62, 0):
+            with mock.patch.object(dnaphash.hashing, "_GEMM_MAX_MACS", macs):
+                yield
+    finally:
+        _weights.cache_clear()  # the weights of long records are large
 
 
 class TestSignMap:
@@ -300,10 +317,11 @@ class TestComputeHash:
 
     def test_frozen_hashes(self):
         seq = generate_sequence(256, sequence_rng(2024, 0), id="pin")
-        assert compute_hash(seq, BLOCK64).to_hex() == FROZEN_256BP_BLOCK64_HEX
-        assert compute_hash(seq, ZIGZAG32).to_hex() == FROZEN_256BP_ZIGZAG32_HEX
-        skip = SelectionStrategy("zigzag_skip_dc", 32)
-        assert compute_hash(seq, skip).to_hex() == FROZEN_256BP_SKIPDC32_HEX
+        for _ in _both_paths():
+            assert compute_hash(seq, BLOCK64).to_hex() == FROZEN_256BP_BLOCK64_HEX
+            assert compute_hash(seq, ZIGZAG32).to_hex() == FROZEN_256BP_ZIGZAG32_HEX
+            skip = SelectionStrategy("zigzag_skip_dc", 32)
+            assert compute_hash(seq, skip).to_hex() == FROZEN_256BP_SKIPDC32_HEX
 
     def test_sequence_too_short_for_strategy(self):
         with pytest.raises(StrategyTooLarge):
@@ -325,6 +343,17 @@ class TestBatchPath:
         for row, seq in zip(packed, seqs):
             expected = compute_hash(seq, strat)
             assert row.tobytes() == expected.data
+
+    @pytest.mark.parametrize("strategy", [SelectionStrategy("block", 4), SelectionStrategy("zigzag", 16),
+                                          SelectionStrategy("zigzag_skip_dc", 15), BLOCK64])
+    def test_one_row_product_matches_the_matrix_path(self, strategy):
+        # compute_hash hashes a short sequence without the kernel's chunks
+        rng = np.random.default_rng(strategy.k)
+        for length in range(max(4, strategy.k), 12_800 // strategy.k + 1, 7):
+            for bases in ("C" * length, "".join("ATCG"[c] for c in rng.integers(0, 4, length))):
+                one = compute_hash(Sequence("s", bases), strategy).data
+                with mock.patch.object(dnaphash.hashing, "_GEMM_MAX_MACS", 0):
+                    assert one == hash_codes(codes_from_bases(bases)[None], strategy).tobytes()
 
     def test_stack_shape_validated(self):
         with pytest.raises(ValueError):
@@ -377,19 +406,27 @@ class TestKernelProperty:
     @pytest.mark.parametrize("dim", range(2, 65))
     def test_matches_reference_pipeline(self, dim):
         for codes, signs, contents in _near_square_cases(dim):
-            for strategy in _widest_strategies(dim):
-                _assert_matches_reference(hash_codes(codes, strategy), signs, contents, strategy)
+            for _ in _both_paths():
+                for strategy in _widest_strategies(dim):
+                    got = hash_codes(codes, strategy)
+                    _assert_matches_reference(got, signs, contents, strategy)
 
     @pytest.mark.parametrize("dim", range(2, 41))
     def test_row_blocks_match_reference_pipeline(self, dim):
-        # A workspace smaller than one matrix sends every record through the
-        # row blocks; it holds blocks of 1, 2 and dim - 1 matrix rows.
+        # A workspace smaller than one matrix sends every record of the matrix
+        # path through the row blocks; it holds blocks of 1, 2 and dim - 1 rows.
         for codes, signs, contents in _near_square_cases(dim):
             for height in sorted({1, 2, dim - 1}):
-                with mock.patch.object(dnaphash.hashing, "_WORKSPACE_CELLS", height * dim):
+                with mock.patch.object(dnaphash.hashing, "_WORKSPACE_CELLS", height * dim), \
+                        mock.patch.object(dnaphash.hashing, "_GEMM_MAX_MACS", 0):
                     for strategy in _widest_strategies(dim):
                         got = hash_codes(codes, strategy)
                         _assert_matches_reference(got, signs, contents, strategy)
+            # blocks of one row, set by the size of one product alone
+            with mock.patch.object(dnaphash.hashing, "_BLAS_ONE_THREAD", 1), \
+                    mock.patch.object(dnaphash.hashing, "_GEMM_MAX_MACS", 0):
+                for strategy in _widest_strategies(dim):
+                    _assert_matches_reference(hash_codes(codes, strategy), signs, contents, strategy)
 
     def test_gray_levels_are_affine_in_the_code(self):
         # the kernel casts codes and adds the constant 63 back as an offset
@@ -430,7 +467,9 @@ class TestKernelProperty:
         (100, BLOCK64, 20_000), (1000, ZIGZAG32, 2000), (10_000, BLOCK64, 100),
         # one record above the workspace is laid out a block of rows at a time
         (1_000_000, BLOCK64, 1), (1_000_000, ZIGZAG32, 1),
-        (300_001, SelectionStrategy("zigzag_skip_dc", 100), 1)])
+        (300_001, SelectionStrategy("zigzag_skip_dc", 100), 1),
+        # products of many short rows, and of the longest rows
+        (36, SelectionStrategy("block", 16), 50_000), (12_800, SelectionStrategy("zigzag", 1), 300)])
     def test_workspace_bounds_every_intermediate(self, length, strategy, count):
         from dnaphash.hashing import _WORKSPACE_CELLS
 
@@ -446,7 +485,8 @@ class TestKernelProperty:
 
     @pytest.mark.parametrize("length,strategy,count", [
         (100, BLOCK64, 20_000), (1000, ZIGZAG32, 2000), (10_000, BLOCK64, 100),
-        (1_000_000, ZIGZAG32, 2), (300_001, SelectionStrategy("zigzag_skip_dc", 100), 2)])
+        (1_000_000, ZIGZAG32, 2), (300_001, SelectionStrategy("zigzag_skip_dc", 100), 2),
+        (36, SelectionStrategy("block", 16), 50_000), (12_800, SelectionStrategy("zigzag", 1), 300)])
     def test_workspace_bounds_gathered_rows(self, length, strategy, count):
         # shuffled, overlapping windows of one parent: every kernel chunk is a gather
         from dnaphash.hashing import _WORKSPACE_CELLS
@@ -466,8 +506,8 @@ class TestKernelProperty:
 
     @pytest.mark.parametrize("cells", [1 << 18, 1200, 10, 20, 90])
     def test_take_matches_stacked_copies(self, cells):
-        # Whole 10 x 10 matrices in chunks of hundreds of rows, then of a
-        # few rows; then blocks of 1, 2 and 9 matrix rows.
+        # Chunks of hundreds of rows, then of a few rows; then chunks of one
+        # row, which the matrix path lays out in blocks of 1, 2 and 9 rows.
         length = 100
         rng = np.random.default_rng(5)
         codes = rng.integers(0, 4, size=1000, dtype=np.uint8)
@@ -478,9 +518,42 @@ class TestKernelProperty:
         stacked = np.stack([codes[t:t + length] for t in take])
         for strategy in _widest_strategies(matrix_dim(length)):
             want = hash_codes(stacked, strategy)
-            with mock.patch.object(dnaphash.hashing, "_WORKSPACE_CELLS", cells):
-                got = _hash_rows(sliding_window_view(codes, length), take, strategy)
-            assert np.array_equal(got, want)
+            for _ in _both_paths():
+                with mock.patch.object(dnaphash.hashing, "_WORKSPACE_CELLS", cells):
+                    got = _hash_rows(sliding_window_view(codes, length), take, strategy)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", range(8, 35))
+    def test_noise_on_constant_square_layouts(self, dim):
+        # Every AC coefficient of a uniform image is zero. Moving the sign
+        # test to +1e-9 and to -1e-9 shows each path's noise in every cell
+        # below 1e-9: at +1e-9 only the DC bit is set, at -1e-9 every bit.
+        strategy = SelectionStrategy("zigzag", dim * dim)
+        codes = np.repeat(np.arange(4, dtype=np.uint8)[:, None], dim * dim, axis=1)
+        first = np.zeros(dim * dim, dtype=np.uint8)
+        first[0] = 1
+        for _ in _both_paths():
+            for tol, bits in ((1e-9, first), (-1e-9, np.ones(dim * dim, dtype=np.uint8))):
+                with mock.patch.object(dnaphash.hashing, "ZERO_TOL", tol):
+                    got = hash_codes(codes, strategy)
+                assert np.array_equal(got, np.tile(np.packbits(bits), (4, 1))), tol
+
+    @pytest.mark.parametrize("strategy", [BLOCK64, ZIGZAG32, SelectionStrategy("zigzag_skip_dc", 63)])
+    def test_mixed_lengths_across_the_product_bound(self, strategy):
+        # Lengths one below, at and one above the last length of the product
+        # path, interleaved in one batch, with a constant record.
+        bound = dnaphash.hashing._GEMM_MAX_MACS // strategy.k
+        rng = np.random.default_rng(bound)
+        bases = ["".join("ATCG"[c] for c in rng.integers(0, 4, length))
+                 for length in [bound - 1, bound, bound + 1] * 3]
+        bases[4] = "G" * bound
+        codes = np.concatenate([codes_from_bases(b) for b in bases])
+        lengths = np.array([len(b) for b in bases])
+        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        got = _hash_records(starts, lengths, codes, strategy)
+        for row, b in zip(got, bases):
+            assert row.tobytes() == compute_hash(Sequence("s", b), strategy).data
+            assert row.tobytes() == select_bits(_reference_signs(b), strategy).data, len(b)
 
     @pytest.mark.parametrize("codes", [
         np.array([[0, 1, 2, 256] * 25], dtype=np.int64),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dnaphash import SequenceTooShort, SelectionStrategy, Sequence, compute_hash, hamming
+from dnaphash.sequence import matrix_dim
 from dnaphash.simulate import (
     DEFAULT_N_PRIMARY,
     DEFAULT_RATES,
@@ -311,6 +312,14 @@ class TestRunGroup:
         assert len(sizes) == -(-n // chunk)
         assert max(sizes) <= chunk
         assert max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("rates", [DEFAULT_RATES, (1.0,)])
+    def test_chunks_hold_at_most_6mb_of_codes(self, rates):
+        for seq_len in np.unique(np.geomspace(100, 1_000_000, 200).astype(int)).tolist():
+            cfg = SimulationConfig("X", seq_len, 64, SelectionStrategy("block", 64), rates, 1)
+            chunk = _chunk_size(cfg)
+            streams = len(rates) + 1
+            assert chunk == 1 or chunk * streams * matrix_dim(seq_len) ** 2 <= 6_000_000, seq_len
 
     def test_pairs_match_public_replay(self):
         # re-derive sampled ordinals through the one-sequence-at-a-time API

@@ -1,6 +1,14 @@
-"""Time the Hamming scan or the ``index``/``query`` round trip, and write it as JSON.
+"""Time the hash kernel, the Hamming scan or the ``index``/``query`` round trip, as JSON.
 
-    PYTHONPATH=src python3 tools/bench.py scan|query [-o BENCH_<suite>.json]
+    PYTHONPATH=src python3 tools/bench.py kernel|scan|query [-o BENCH_<suite>.json]
+
+``kernel``: for each record length of ``KERNEL_LENGTHS`` it times
+``hash_codes`` of about ``KERNEL_BASES`` random bases as one (rows,
+length) batch, under block-64 (block-16 below 64 bp) and zigzag-32, and
+reports hashes per second. Then it times one-row ``compute_hash`` calls
+on ``PROBES`` random probes of 100 bp (block-64) and 1000 bp
+(zigzag-32), the query probes of the two benchmark workloads. Each row
+carries the CRC-32 of its packed hashes.
 
 ``scan``: for each row count (20k and 1M) and hash width (32 to 4096 bits)
 it builds an index of random hashes, warms it with one probe, and times
@@ -43,7 +51,8 @@ import zlib
 
 import numpy as np
 
-from dnaphash import PerceptualHash, SelectionStrategy, cli, load_index
+from dnaphash import (PerceptualHash, SelectionStrategy, Sequence, cli, compute_hash, hash_codes,
+                      load_index)
 from dnaphash.index import HashIndex, _distances, query_topk
 
 SEED = 0
@@ -59,6 +68,9 @@ SUBSTITUTIONS = 50
 WINDOW = 1000
 STEPS = (100, 10)
 MAX_DIST = 8
+KERNEL_LENGTHS = (36, 64, 100, 150, 250, 400, 1000)
+KERNEL_BASES = 4_000_000
+PROBE_SHAPES = ((100, SelectionStrategy("block", 64)), (1000, SelectionStrategy("zigzag", 32)))
 
 _BASES = np.frombuffer(b"ATCG", dtype=np.uint8)
 
@@ -86,6 +98,38 @@ def _random_rows(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
         block[:, :nbytes] = rng.integers(0, 256, size=(len(block), nbytes), dtype=np.uint8)
     rows[:, nbytes - 1] &= (0xFF << (8 * nbytes - width)) & 0xFF
     return rows
+
+
+def _kernel_codes(rows: int, length: int) -> np.ndarray:
+    """The random base codes each suite row of ``length`` hashes."""
+    return np.random.default_rng([SEED, length]).integers(0, 4, size=(rows, length), dtype=np.uint8)
+
+
+def _name(strategy: SelectionStrategy) -> str:
+    return f"{strategy.kind}-{strategy.k}"
+
+
+def kernel():
+    """Yield a ``hash_codes`` row per (length, strategy), then a ``compute_hash`` row per probe shape."""
+    for length in KERNEL_LENGTHS:
+        codes = _kernel_codes(max(1, KERNEL_BASES // length), length)
+        for strategy in (SelectionStrategy("block", 64 if length >= 64 else 16),
+                         SelectionStrategy("zigzag", 32)):
+            packed = hash_codes(codes, strategy)  # fills the kernel's caches
+            row = {"function": "hash_codes", "length": length, "strategy": _name(strategy),
+                   "rows": len(codes), "crc32": f"{zlib.crc32(packed):08x}"}
+            _time(row, "call", lambda i: hash_codes(codes, strategy))
+            row["hashes_per_second"] = round(len(codes) / row["call_s"])
+            yield row
+    for length, strategy in PROBE_SHAPES:
+        probes = [Sequence(f"q{i}", _BASES[row_codes].tobytes().decode("ascii"))
+                  for i, row_codes in enumerate(_kernel_codes(PROBES, length))]
+        packed = b"".join(compute_hash(probe, strategy).data for probe in probes)
+        row = {"function": "compute_hash", "length": length, "strategy": _name(strategy),
+               "rows": 1, "crc32": f"{zlib.crc32(packed):08x}"}
+        _time(row, "call", lambda i: compute_hash(probes[i % PROBES], strategy))
+        row["hashes_per_second"] = round(1 / row["call_s"])
+        yield row
 
 
 def scan():
@@ -180,6 +224,7 @@ def query():
 
 # Each suite, and the constants that size it.
 SUITES = {
+    "kernel": (kernel, ("KERNEL_LENGTHS", "KERNEL_BASES", "PROBES")),
     "scan": (scan, ("ROWS", "WIDTHS", "PROBES", "TOP_K")),
     "query": (query, ("RECORDS", "RECORD_LEN", "PROBES", "SUBSTITUTIONS", "WINDOW", "STEPS",
                       "TOP_K", "MAX_DIST")),
