@@ -158,8 +158,6 @@ def cmd_hash(args) -> int:
 
 def cmd_index(args) -> int:
     strategy = _strategy(args)
-    if args.step is not None and args.window is None:
-        raise UsageError("--step only makes sense together with --window")
     try:
         index = _build(_batches(args.fasta, args.n_policy), strategy, window=args.window,
                        step=args.step)

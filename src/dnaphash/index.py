@@ -150,33 +150,6 @@ class HashIndex:
         return len(self.ids)
 
 
-def _check_window(window: int, step: int) -> None:
-    if window < MIN_LENGTH:
-        raise ValueError(f"window must be at least {MIN_LENGTH} bp")
-    if step < 1:
-        raise ValueError("step must be positive")
-
-
-def _warn_short(rid: str, length: int, window: int) -> None:
-    log.warning("sequence %r (%d bp) is shorter than the %d bp window; skipped",
-                rid, length, window)
-
-
-def expand_windows(seqs: Iterable[Sequence], window: int, step: int) -> Iterable[Sequence]:
-    """Slice sequences into fixed-size windows with ids ``parent:offset``.
-
-    Offsets are 0-based and advance by ``step``; a sequence shorter than
-    the window yields nothing (with a warning).
-    """
-    _check_window(window, step)
-    for seq in seqs:
-        if len(seq) < window:
-            _warn_short(seq.id, len(seq), window)
-            continue
-        for off in range(0, len(seq) - window + 1, step):
-            yield Sequence(id=f"{seq.id}:{off}", bases=seq.bases[off:off + window])
-
-
 def build_index(
     seqs: Iterable[Sequence],
     strategy: SelectionStrategy,
@@ -187,9 +160,12 @@ def build_index(
     """Hash every sequence (or every window of it) into a fresh index.
 
     Record order follows input order. With ``window`` set, the records are
-    the windows :func:`expand_windows` yields (``step`` defaults to the
-    window size, i.e. non-overlapping), hashed straight from each parent's
-    base codes.
+    the windows of each sequence, ``window`` bases long and ``step`` apart
+    (``step`` defaults to the window size, i.e. non-overlapping), with ids
+    ``parent:offset`` (0-based offsets). A sequence shorter than the
+    window yields none, with a warning. A window under ``MIN_LENGTH``
+    bases, a step under 1 and a ``step`` without a ``window`` raise
+    ``ValueError``.
     """
     return _build([_batch_of(list(seqs))], strategy, window=window, step=step)
 
@@ -205,14 +181,17 @@ def _build(batches: Iterable[_Batch], strategy: SelectionStrategy, *, window: in
     a duplicate id. The warnings about parents shorter than the window
     also come once every batch has been read, after those of the reader.
     """
-    if window is not None:
+    if window is None:
+        bad = None if step is None else "step only makes sense together with window"
+    else:
         step = window if step is None else step
-        try:
-            _check_window(window, step)
-        except ValueError:
-            for _ in batches:  # read on: a bad record anywhere wins
-                pass
-            raise
+        bad = (f"window must be at least {MIN_LENGTH} bp" if window < MIN_LENGTH
+               else "step must be positive" if step < 1 else None)
+    if bad is not None:
+        for _ in batches:  # read on: a bad record anywhere wins
+            pass
+        raise ValueError(bad)
+    if window is not None:
         batches = _windows(batches, window, step)
     ids, rows, source_len = _hash_batches(batches, strategy)
     if not ids:
@@ -238,7 +217,8 @@ def _windows(batches: Iterable[_Batch], window: int, step: int) -> Iterator[_Bat
         yield _Batch(ids, np.concatenate(starts), np.full(len(ids), window), batch.codes)
         del batch  # before the next read: a batch may hold one long record
     for rid, length in short:
-        _warn_short(rid, length, window)
+        log.warning("sequence %r (%d bp) is shorter than the %d bp window; skipped",
+                    rid, length, window)
 
 
 def _words(index: HashIndex, probe: PerceptualHash) -> np.ndarray:

@@ -19,6 +19,7 @@ import pytest
 import dnaphash
 from dnaphash import SelectionStrategy, Sequence, compute_hash, load_index, query, query_topk
 from dnaphash.cli import _atomic_write, main
+from window_oracle import expand_windows
 
 def run_cli(*argv):
     """Invoke the CLI in-process; argparse aborts surface as their exit code."""
@@ -278,7 +279,7 @@ class TestIndexAndQuery:
         with caplog.at_level(logging.WARNING):
             seqs = dnaphash.read_fasta(fa, n_policy="skip-record")
             want = dnaphash.index_bytes(dnaphash.build_index(
-                dnaphash.expand_windows(seqs, window, step), strategy))
+                expand_windows(seqs, window, step), strategy))
         assert out.read_bytes() == want
         assert got == [r.getMessage() for r in caplog.records]
         assert [r.args[0] for r in caplog.records] == ["n4", "n11", "p1", "p3", "p7"]
@@ -310,6 +311,29 @@ class TestIndexAndQuery:
 
     def test_step_without_window_exits_1(self, corpus, tmp_path):
         assert run_cli("index", corpus, "-o", str(tmp_path / "x.dph"), "--step", "10") == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--window", "3"], "window must be at least 4 bp"),
+        (["--window", "4", "--step", "0"], "step must be positive"),
+        (["--step", "5"], "step only makes sense together with window"),
+    ], ids=["window", "step", "step-alone"])
+    @pytest.mark.parametrize("second", ["ACGTTACGT" * 4, "ACGTNACGT" * 4], ids=["clean", "N"])
+    def test_bad_record_wins_over_window_arguments(self, flags, message, second, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        fa = write_fasta(tmp_path / "a.fa", [("first", "ACGT" * 32), ("second", second),
+                                             ("third", "ACGT" * 32)])
+        code = run_cli("index", "-o", "x.dph", *flags, fa)
+        captured = capsys.readouterr()
+        if "N" in second:
+            assert code == 2
+            assert "invalid base 'N' in record 'second' at position 5" in captured.err
+            assert message not in captured.err
+        else:
+            assert code == 1
+            assert message in captured.err
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["a.fa"]
 
     def test_corrupt_index_exits_3(self, corpus, tmp_path, capsys):
         idx = tmp_path / "c.dph"
@@ -440,6 +464,19 @@ class TestIndexAndQuery:
         everything = query(index, hashes["tie"], index.width)
         assert everything[39][1] == everything[40][1]  # --top-k 40 cuts inside a run
         assert results["--top-k"]["tie"] == everything[:40]
+
+    def test_all_tied_windows_print_in_python_str_order(self, tmp_path, capsys):
+        # one constant parent: its 24 windows hash alike, and "c:10" precedes "c:9"
+        fa = write_fasta(tmp_path / "c.fa", [("c", "A" * 87)])
+        idx = str(tmp_path / "c.dph")
+        assert run_cli("index", fa, "-o", idx, "--window", "64", "--step", "1", "--width", "32",
+                       "--strategy", "zigzag") == 0
+        probe = write_fasta(tmp_path / "p.fa", [("p", "A" * 64)])
+        capsys.readouterr()
+        assert run_cli("query", idx, probe, "--top-k", "24") == 0
+        ids = sorted(f"c:{i}" for i in range(24))
+        assert ids[:4] == ["c:0", "c:1", "c:10", "c:11"]
+        assert capsys.readouterr().out == "".join(f"p\t{rid}\t0\n" for rid in ids)
 
     def test_both_query_modes_exits_1(self, corpus, tmp_path):
         idx = str(tmp_path / "c.dph")

@@ -31,8 +31,8 @@ from dnaphash import (
     WidthMismatch,
     build_index,
     compute_hash,
-    expand_windows,
     hamming,
+    hash_codes,
     index_bytes,
     load_index,
     query,
@@ -41,6 +41,7 @@ from dnaphash import (
 )
 from dnaphash.sequence import matrix_dim
 from dnaphash.simulate import generate_sequence, sequence_rng
+from window_oracle import expand_windows
 
 BLOCK64 = SelectionStrategy("block", 64)
 ZIGZAG32 = SelectionStrategy("zigzag", 32)
@@ -148,34 +149,41 @@ class TestBuild:
 class TestWindows:
     def test_window_ids_and_hashes(self):
         seq = _random_sequences(1, 300, seed=3)[0]
-        pieces = list(expand_windows([seq], window=100, step=100))
-        assert [p.id for p in pieces] == [f"{seq.id}:0", f"{seq.id}:100", f"{seq.id}:200"]
-        for off, piece in zip((0, 100, 200), pieces):
-            assert piece.bases == seq.bases[off:off + 100]
+        idx = build_index([seq], ZIGZAG32, window=100, step=100)
+        assert idx.ids == (f"{seq.id}:0", f"{seq.id}:100", f"{seq.id}:200")
+        for off, (rid, h) in zip((0, 100, 200), _records(idx)):
+            assert h == compute_hash(Sequence(rid, seq.bases[off:off + 100]), ZIGZAG32)
+        assert idx.source_len.tolist() == [100, 100, 100]
 
     def test_step_smaller_than_window_overlaps(self):
         seq = Sequence("s", "ACGT" * 50)  # 200 bp
-        pieces = list(expand_windows([seq], window=100, step=50))
-        assert [p.id for p in pieces] == ["s:0", "s:50", "s:100"]
+        idx = build_index([seq], ZIGZAG32, window=100, step=50)
+        assert idx.ids == ("s:0", "s:50", "s:100")
 
     def test_tail_shorter_than_window_dropped(self):
         seq = Sequence("s", "A" * 250)
-        pieces = list(expand_windows([seq], window=100, step=100))
-        assert [p.id for p in pieces] == ["s:0", "s:100"]
+        idx = build_index([seq], ZIGZAG32, window=100, step=100)
+        assert idx.ids == ("s:0", "s:100")
 
     def test_short_sequence_skipped_with_warning(self, caplog):
         seqs = [Sequence("tiny", "ACGTACGT"), Sequence("big", "A" * 100)]
         with caplog.at_level(logging.WARNING):
-            pieces = list(expand_windows(seqs, window=100, step=100))
-        assert [p.id for p in pieces] == ["big:0"]
-        assert any("tiny" in r.getMessage() for r in caplog.records)
+            idx = build_index(seqs, ZIGZAG32, window=100, step=100)
+        assert idx.ids == ("big:0",)
+        assert [r.getMessage() for r in caplog.records] == [
+            "sequence 'tiny' (8 bp) is shorter than the 100 bp window; skipped"]
 
     def test_invalid_window_args(self):
         seq = Sequence("s", "A" * 100)
-        with pytest.raises(ValueError):
-            list(expand_windows([seq], window=0, step=1))
-        with pytest.raises(ValueError):
-            list(expand_windows([seq], window=10, step=0))
+        for kwargs, message in [
+            (dict(window=0, step=1), "window must be at least 4 bp"),
+            (dict(window=0), "window must be at least 4 bp"),
+            (dict(window=10, step=0), "step must be positive"),
+            (dict(window=8, step=0), "step must be positive"),
+            (dict(step=5), "step only makes sense together with window"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build_index([seq], ZIGZAG32, **kwargs)
 
     def test_build_with_window_equals_manual_slices(self):
         seqs = _random_sequences(3, 256, seed=8)
@@ -229,6 +237,35 @@ class TestWindows:
         seqs = [Sequence("a", "ACGT" * 10), Sequence("b", "ACGT" * 20)]
         with pytest.raises(ValueError, match="nothing to index"):
             build_index(seqs, ZIGZAG32, window=100, step=10)
+
+
+class TestShiftsAreNotSimilarity:
+    # The README's caveat: a window index finds a probe only if the probe
+    # starts within a base or two of a window start. A 5 bp shift moves a
+    # window about as far as a random window, 5% substitutions much less.
+    @pytest.mark.parametrize("window, strategy", [(1000, ZIGZAG32), (100, BLOCK64)],
+                             ids=["1000bp-zigzag32", "100bp-block64"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_5bp_shift_is_as_far_as_a_random_window(self, window, strategy, seed):
+        n, shift = 300, 5
+        rng = np.random.default_rng(seed)
+        views = np.lib.stride_tricks.sliding_window_view(
+            rng.integers(0, 4, size=n * window, dtype=np.uint8), window)
+        starts = rng.integers(0, len(views) - shift, size=n)
+        base = views[starts]
+        substituted = base.copy()
+        cols = np.argsort(rng.random((n, window)), axis=1)[:, :window // 20]
+        rows = np.arange(n)[:, None]
+        substituted[rows, cols] += rng.integers(1, 4, size=cols.shape, dtype=np.uint8)
+        substituted[rows, cols] %= 4
+        hashed = hash_codes(base, strategy)
+
+        def mean_distance(codes):
+            return np.bitwise_count(hash_codes(codes, strategy) ^ hashed).sum(axis=1).mean()
+
+        random = mean_distance(views[rng.integers(0, len(views), size=n)])
+        assert mean_distance(views[starts + shift]) >= 0.8 * random
+        assert mean_distance(substituted) <= 0.4 * random
 
 
 class TestQuery:
@@ -317,6 +354,18 @@ class TestTopK:
             assert query_topk(idx, h, k) == want[:k]
         assert query(idx, h, 0) == want
         assert query(idx, h, 32) == want
+
+    def test_all_tied_windows_order_by_python_str_order(self):
+        # one constant parent: its 24 windows hash alike, and "c:10" precedes "c:9"
+        idx = build_index([Sequence("c", "A" * 87)], ZIGZAG32, window=64, step=1)
+        h = _hash_at(idx, 0)
+        assert len(set(map(bytes, idx.hashes))) == 1
+        ids = sorted(f"c:{i}" for i in range(24))
+        assert ids[:4] == ["c:0", "c:1", "c:10", "c:11"]
+        want = [(rid, 0) for rid in ids]
+        for k in (1, 10, 24):
+            assert query_topk(idx, h, k) == want[:k]
+        assert query(idx, h, idx.width) == want
 
     def test_k_out_of_range(self):
         idx = _random_index(10, ZIGZAG32)
