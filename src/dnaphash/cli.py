@@ -176,11 +176,18 @@ def cmd_index(args) -> int:
 def cmd_query(args) -> int:
     with open(args.index, "rb") as handle:
         index = load_index(handle)
-    probes, rows, _ = _hash_batches(_batches([args.fasta], args.n_policy), index.strategy)
+    probes, rows, lengths = _hash_batches(_batches([args.fasta], args.n_policy), index.strategy)
     if args.top_k is not None:
         _check_k(index, args.top_k)
     elif not 0 <= args.max_dist <= index.width:
         raise UsageError(f"--max-dist must be within 0..{index.width}, got {args.max_dist}")
+    if index.source_len.all():  # a source_len of 0 is unknown
+        unmatched = np.flatnonzero(~np.isin(lengths, index.source_len))
+        if unmatched.size:
+            first = unmatched[0]
+            log.warning("%d of %d probes have a length no indexed record has, the first %r (%d bp); "
+                        "hashes of unequal lengths are not similar",
+                        unmatched.size, len(probes), probes[first], lengths[first])
     for pid, words in zip(probes, _pad_rows(rows).view(np.uint64)):
         hits, dist = _nearest(index, words, k=args.top_k, max_dist=args.max_dist)
         sys.stdout.write(_hit_lines(pid, index, hits, dist))

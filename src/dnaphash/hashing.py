@@ -19,8 +19,11 @@ noise of the kernel's matrix path in the cells of selections of up to 64
 bits stays below 7e-12 through dim 100 and below 2e-10 at the dims
 sampled through 3163 (10 Mbp); for selections of up to 4096 bits it
 stays below 8e-11 and 9e-10. Its product path (see :func:`_hash_rows`)
-stays below 1.5e-11 in every shape it takes. The smallest genuinely
-nonzero coefficient observed for integer layouts is ~1e-4.
+stays below 1.5e-11 in every shape it takes. A batch of one row is one
+product: below 1.7e-12 on the product layout, and on the matrix layout
+below 7e-12 through dim 100 (64 bits) and 3.4e-11 (4096 bits) wherever
+the record fits one block of rows. The smallest genuinely nonzero
+coefficient observed for integer layouts is ~1e-4.
 """
 
 from __future__ import annotations
@@ -311,19 +314,17 @@ def _hash_rows(codes: np.ndarray, take: np.ndarray | None,
     alone outgrow that, or whose first product outgrows
     ``_BLAS_ONE_THREAD``, is laid out a block of matrix rows at a time, and
     the blocks' products are summed.
+
+    One row is one product, without the chunk loop or its buffers:
+    ``codes @ W[:-1] + W[-1]``, or ``scaled @ M @ right`` on the record's
+    own zero-padded matrix when it fits one block of rows. A record that
+    needs several blocks still takes the loop.
     """
     length = codes.shape[1]
     count = codes.shape[0] if take is None else len(take)
-    out = np.empty((count, (strategy.k + 7) // 8), dtype=np.uint8)
     gemm = length * strategy.k <= _GEMM_MAX_MACS
     if gemm:
         weights = _weights(strategy, length)
-        # Per record: L + 1 float cells and k of product, and at most as much
-        # again for its gathered codes and its mask.
-        chunk = max(1, _WORKSPACE_CELLS // (2 * (length + 1 + strategy.k)))
-        block = min(chunk, max(1, _BLAS_ONE_THREAD // (length * strategy.k)))
-        chunk -= chunk % block
-        cells = np.ones((min(chunk, -(-count // block) * block), length + 1))
     else:
         dim = matrix_dim(length)
         rows, cols, scaled, right = _selection_arrays(strategy, dim)
@@ -331,6 +332,24 @@ def _hash_rows(codes: np.ndarray, take: np.ndarray | None,
         r, c = len(scaled), right.shape[1]
         height = dim if dim * dim + r * dim <= _WORKSPACE_CELLS else max(1, _WORKSPACE_CELLS // dim)
         height = min(height, max(1, _BLAS_ONE_THREAD // (r * dim)))
+    if count == 1 and (gemm or height >= dim):  # one row in one product, without chunk buffers
+        row = codes[0 if take is None else take[0]]
+        if gemm:
+            picked = row @ weights[:-1] + weights[-1]
+        else:
+            matrix = np.zeros(dim * dim)
+            matrix[:length] = row
+            picked = (scaled @ matrix.reshape(dim, dim) @ right)[rows, cols] + offset
+        return np.packbits(picked > ZERO_TOL)[None]
+    out = np.empty((count, (strategy.k + 7) // 8), dtype=np.uint8)
+    if gemm:
+        # Per record: L + 1 float cells and k of product, and at most as much
+        # again for its gathered codes and its mask.
+        chunk = max(1, _WORKSPACE_CELLS // (2 * (length + 1 + strategy.k)))
+        block = min(chunk, max(1, _BLAS_ONE_THREAD // (length * strategy.k)))
+        chunk -= chunk % block
+        cells = np.ones((min(chunk, -(-count // block) * block), length + 1))
+    else:
         # Per record: a block of rows, scaled @ matrix, its product with right, the selected cells.
         chunk = max(1, _WORKSPACE_CELLS // (height * dim + r * dim + r * c + strategy.k))
         cells = np.empty((min(chunk, count), height * dim))
@@ -419,19 +438,8 @@ def _hash_batches(batches: Iterable[_Batch],
 
 
 def compute_hash(seq: Sequence, strategy: SelectionStrategy) -> PerceptualHash:
-    """Hash one sequence, from its checked codes.
-
-    A sequence short enough for the kernel's product path (see
-    :func:`_hash_rows`) is one vector-matrix product, without the kernel's
-    chunk buffers, which cost a single row more than the product does. A
-    longer one is a one-row :func:`_hash_rows` batch.
-    """
-    codes = codes_from_bases(seq.bases)
-    if len(codes) * strategy.k <= _GEMM_MAX_MACS:
-        weights = _weights(strategy, len(codes))
-        row = np.packbits(codes @ weights[:-1] + weights[-1] > ZERO_TOL)
-    else:
-        row = _hash_rows(codes[None], None, strategy)[0]
+    """Hash one sequence, from its checked codes: a one-row :func:`_hash_rows` batch."""
+    row = _hash_rows(codes_from_bases(seq.bases)[None], None, strategy)[0]
     return PerceptualHash(data=row.tobytes(), strategy=strategy, source_len=len(seq))
 
 

@@ -38,17 +38,18 @@ MIN_LENGTH = 4
 
 _VALID_BASES = frozenset(BASE_ORDER)
 
-# ASCII lookup table so whole sequences encode without a Python loop.
-_ASCII_TO_CODE = np.full(256, 255, dtype=np.uint8)
+# bytes.translate table so whole sequences encode without a Python loop;
+# every byte that is not an upper-case base becomes 255.
+_ASCII_TO_CODE = bytearray(b"\xff" * 256)
 for _i, _b in enumerate(BASE_ORDER):
     _ASCII_TO_CODE[ord(_b)] = _i
 _CODE_TO_ASCII = np.frombuffer(BASE_ORDER.encode("ascii"), dtype=np.uint8)
 
-# The same table for bytes.translate over FASTA text, lower case included.
-_FASTA_TO_CODE = bytearray(_ASCII_TO_CODE.tobytes())
+# The same table for FASTA text, lower case included.
+_FASTA_TO_CODE = bytearray(_ASCII_TO_CODE)
 for _i, _b in enumerate(BASE_ORDER.lower()):
     _FASTA_TO_CODE[ord(_b)] = _i
-_FASTA_TO_CODE = bytes(_FASTA_TO_CODE)
+_ASCII_TO_CODE, _FASTA_TO_CODE = bytes(_ASCII_TO_CODE), bytes(_FASTA_TO_CODE)
 
 #: Bytes :func:`_stream_fasta` reads at a time; a longer record is read whole.
 _BLOCK_BYTES = 1 << 18
@@ -72,12 +73,11 @@ def decode_intensity(value: int) -> str:
 
 def codes_from_bases(bases: str) -> np.ndarray:
     """Base string -> uint8 code array (A=0, T=1, C=2, G=3)."""
-    raw = np.frombuffer(bases.encode("ascii"), dtype=np.uint8)
-    codes = _ASCII_TO_CODE[raw]
-    if codes.max(initial=0) > 3:
-        bad = int(np.argmax(codes > 3))
+    codes = bytearray(bases, "ascii").translate(_ASCII_TO_CODE)
+    bad = codes.find(255)
+    if bad >= 0:
         raise InvalidBase(bases[bad], position=bad + 1)
-    return codes
+    return np.frombuffer(codes, dtype=np.uint8)
 
 
 def bases_from_codes(codes: np.ndarray) -> str:
@@ -147,8 +147,7 @@ def layout_matrix(seq: Sequence) -> PixelMatrix:
         raise SequenceTooShort(f"{n} bp cannot fill a {MIN_LENGTH}-cell matrix")
     dim = matrix_dim(n)
     flat = np.full(dim * dim, PAD_VALUE, dtype=np.uint8)
-    codes = _ASCII_TO_CODE[np.frombuffer(seq.bases.encode("ascii"), dtype=np.uint8)]
-    flat[:n] = CODE_TO_INTENSITY[codes]
+    flat[:n] = CODE_TO_INTENSITY[codes_from_bases(seq.bases)]
     cells = flat.reshape(dim, dim)
     cells.flags.writeable = False
     return PixelMatrix(cells=cells, payload_len=n)

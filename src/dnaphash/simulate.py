@@ -271,14 +271,20 @@ def write_histogram_csv(hist: DistanceHistogram, sink: TextIO) -> None:
 
 
 def write_pair_csv(hist: DistanceHistogram, sink: TextIO) -> None:
-    """Write one (ordinal, rate, distance) row per hashed pair."""
+    """Write one (ordinal, rate, distance) row per hashed pair, as ``csv`` would.
+
+    The rows of each block of 16,384 ordinals are written as one string, so
+    the text held at once stays bounded for any number of pairs.
+    """
     if hist.pairs is None:
         raise ValueError("histogram was built without keep_pairs=True")
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(PAIR_CSV_HEADER)
-    for ordinal in range(hist.pairs.shape[0]):
-        for j, rate in enumerate(hist.config.divergence_rates):
-            writer.writerow([ordinal, rate, int(hist.pairs[ordinal, j])])
+    rates = [str(rate) for rate in hist.config.divergence_rates]  # csv writes numbers with str
+    sink.write(",".join(PAIR_CSV_HEADER) + "\n")
+    for start in range(0, hist.pairs.shape[0], 1 << 14):
+        block = hist.pairs[start:start + (1 << 14)].tolist()
+        sink.write("".join(f"{ordinal},{rate},{dist}\n"
+                           for ordinal, row in enumerate(block, start)
+                           for rate, dist in zip(rates, row)))
 
 
 def preset_config(group: str, *, n_primary: int | None = None,

@@ -52,10 +52,13 @@ def test_kernel(bench, tmp_path, capsys, monkeypatch):
     # Each CRC-32 is that of the same codes hashed through the matrix path.
     monkeypatch.setattr(dnaphash.hashing, "_GEMM_MAX_MACS", 0)
     for row in rows:
-        assert list(row) == ["function", "length", "strategy", "rows", "crc32", "call_s",
-                             "call_samples", "hashes_per_second"]
-        kind, k = row["strategy"].split("-")
         probes = row["function"] == "compute_hash"
+        assert list(row) == ["function", "length", "strategy", "rows", "crc32", "call_s",
+                             "call_samples", "hashes_per_second",
+                             *(["call_after_idle_s", "call_after_idle_samples"] if probes else [])]
+        if probes:  # each sample follows a 0.1 s sleep, which counts toward MIN_SECONDS
+            assert row["call_after_idle_s"] > 0 and row["call_after_idle_samples"] == bench.MIN_SAMPLES
+        kind, k = row["strategy"].split("-")
         codes = bench._kernel_codes(bench.PROBES if probes else row["rows"], row["length"])
         assert row["rows"] == (1 if probes else 20_000 // row["length"])
         packed = hash_codes(codes, SelectionStrategy(kind, int(k)))

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import dnaphash
-from dnaphash import SelectionStrategy, Sequence, compute_hash, load_index, query, query_topk
+from dnaphash import (HashIndex, PerceptualHash, SelectionStrategy, Sequence, compute_hash,
+                      load_index, query, query_topk, save_index)
 from dnaphash.cli import _atomic_write, main
 from window_oracle import expand_windows
 
@@ -487,6 +488,52 @@ class TestIndexAndQuery:
         idx = str(tmp_path / "c.dph")
         run_cli("index", corpus, "-o", idx, "--width", "64")
         assert run_cli("query", idx, corpus) == 1
+
+    @pytest.fixture
+    def probes_of_three_lengths(self, tmp_path):
+        """A 64 bp window index, and probes of 64, 56 and 72 bp: two match no record's length."""
+        fa = write_fasta(tmp_path / "r.fa", [("r", "ACGTTGCA" * 24)])
+        idx = str(tmp_path / "r.dph")
+        assert run_cli("index", fa, "-o", idx, "--window", "64", "--width", "16") == 0
+        probe = write_fasta(tmp_path / "p.fa", [("same", "ACGTTGCA" * 8), ("short", "ACGTAGCA" * 7),
+                                                ("long", "ACGTTGCA" * 9)])
+        return idx, probe
+
+    def test_probes_of_unindexed_lengths_warned_once(self, probes_of_three_lengths, capsys):
+        # The run's one warning names the count and the first such probe on
+        # stderr; stdout and the exit code are those of a run without it.
+        idx, probe = probes_of_three_lengths
+        capsys.readouterr()
+        assert run_cli("query", idx, probe, "--top-k", "1") == 0
+        out = capsys.readouterr().out
+        assert [line.split("\t")[0] for line in out.splitlines()] == ["same", "short", "long"]
+        src = os.path.dirname(os.path.dirname(dnaphash.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "dnaphash", "query", idx, probe, "--top-k", "1"],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert (proc.returncode, proc.stdout) == (0, out)
+        assert proc.stderr == (
+            "WARNING dnaphash.cli: 2 of 3 probes have a length no indexed record has, the first "
+            "'short' (56 bp); hashes of unequal lengths are not similar\n")
+
+    def test_no_length_warning_when_lengths_match_or_are_unknown(self, probes_of_three_lengths,
+                                                                 tmp_path, caplog):
+        idx, probe = probes_of_three_lengths
+        same = write_fasta(tmp_path / "same.fa", [("same", "ACGTTGCA" * 8), ("again", "ACGT" * 16)])
+        with caplog.at_level(logging.WARNING):
+            assert run_cli("query", idx, same, "--max-dist", "16") == 0
+        assert caplog.records == []
+        # An index that holds a source_len of 0 ("unknown") is not checked.
+        strategy = SelectionStrategy("block", 16)
+        hashes = [compute_hash(Sequence("a", "ACGT" * 16), strategy),
+                  PerceptualHash(compute_hash(Sequence("b", "GATTACA" * 9), strategy).data, strategy)]
+        unknown = tmp_path / "unknown.dph"
+        with open(unknown, "wb") as sink:
+            save_index(HashIndex.from_hashes(strategy, ["a", "b"], hashes), sink)
+        with caplog.at_level(logging.WARNING):
+            assert run_cli("query", str(unknown), probe, "--top-k", "1") == 0
+        assert caplog.records == []
 
     def test_window_warnings_follow_the_reader_and_a_bad_record(self, tmp_path, caplog):
         # Short parents are reported after the reader's warnings, as when

@@ -538,6 +538,47 @@ class TestKernelProperty:
                     got = hash_codes(codes, strategy)
                 assert np.array_equal(got, np.tile(np.packbits(bits), (4, 1))), tol
 
+    @pytest.mark.parametrize("dim", range(8, 35))
+    def test_noise_of_one_row_on_constant_square_layouts(self, dim):
+        # The same spy on rows hashed one at a time, which skip the chunk loop.
+        strategy = SelectionStrategy("zigzag", dim * dim)
+        first = np.zeros(dim * dim, dtype=np.uint8)
+        first[0] = 1
+        for _ in _both_paths():
+            for tol, bits in ((1e-9, first), (-1e-9, np.ones(dim * dim, dtype=np.uint8))):
+                for code in range(4):
+                    with mock.patch.object(dnaphash.hashing, "ZERO_TOL", tol):
+                        got = hash_codes(np.full((1, dim * dim), code, dtype=np.uint8), strategy)
+                    assert got.tobytes() == np.packbits(bits).tobytes(), (tol, code)
+
+    @pytest.mark.parametrize("strategy", [SelectionStrategy("block", 16), ZIGZAG32,
+                                          SelectionStrategy("zigzag_skip_dc", 31)])
+    def test_one_row_equals_batch_rows_across_the_bounds(self, strategy):
+        # A batch of one row is one product; the same rows in a batch of four
+        # take the chunk loop. Lengths one short of, at and past the product
+        # bound; then, on the matrix path, workspaces and thread bounds one
+        # cell short of and exactly one block of rows.
+        bound = dnaphash.hashing._GEMM_MAX_MACS // strategy.k
+        rng = np.random.default_rng(strategy.k)
+        for length in (bound - 1, bound, bound + 1, 99, 100):
+            contents = ["T" * length, ("ACGTTGCA" * length)[:length], ("GGCA" * length)[:length],
+                        "".join("ATCG"[c] for c in rng.integers(0, 4, length))]
+            codes = np.stack([codes_from_bases(b) for b in contents])
+            signs = [_reference_signs(b) for b in contents]
+            dim = matrix_dim(length)
+            r = max(p[0] for p in strategy.positions(dim)) + 1
+            limits = [{"_WORKSPACE_CELLS": dnaphash.hashing._WORKSPACE_CELLS},
+                      {"_WORKSPACE_CELLS": dim * dim + r * dim}, {"_WORKSPACE_CELLS": dim * (dim - 1)},
+                      {"_BLAS_ONE_THREAD": r * dim * dim}, {"_BLAS_ONE_THREAD": r * dim * dim - 1}]
+            for _ in _both_paths():
+                for bounds in limits:
+                    with mock.patch.multiple(dnaphash.hashing, **bounds):
+                        batch = hash_codes(codes, strategy)
+                        rows = [hash_codes(row[None], strategy) for row in codes]
+                        ones = [compute_hash(Sequence("s", b), strategy).data for b in contents]
+                    _assert_matches_reference(batch, signs, contents, strategy)
+                    assert [row.tobytes() for row in rows] == ones == [row.tobytes() for row in batch]
+
     @pytest.mark.parametrize("strategy", [BLOCK64, ZIGZAG32, SelectionStrategy("zigzag_skip_dc", 63)])
     def test_mixed_lengths_across_the_product_bound(self, strategy):
         # Lengths one below, at and one above the last length of the product

@@ -59,6 +59,17 @@ class TestEncoding:
     def test_code_round_trip(self):
         bases = "".join(random.Random(3).choices("ATCG", k=500))
         assert bases_from_codes(codes_from_bases(bases)) == bases
+        assert codes_from_bases("ATCG").tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("bases, symbol, position", [
+        ("ACGTa", "a", 5), ("acgt", "a", 1), ("ACNGT", "N", 3), ("ACGT-", "-", 5),
+        ("AC GT", " ", 3), ("ACG\x00T", "\x00", 4), ("ACGT\x7f", "\x7f", 5), ("NAx", "N", 1),
+        ("ACGTxN", "x", 5), ("ACGTnN", "n", 5)])
+    def test_codes_name_the_first_invalid_base(self, bases, symbol, position):
+        with pytest.raises(InvalidBase) as err:
+            codes_from_bases(bases)
+        assert (err.value.base, err.value.position, err.value.record_id) == (symbol, position, None)
+        assert str(err.value) == f"invalid base {symbol!r} at position {position}"
 
 
 class TestSequence:

@@ -7,7 +7,9 @@
 length) batch, under block-64 (block-16 below 64 bp) and zigzag-32, and
 reports hashes per second. Then it times one-row ``compute_hash`` calls
 on ``PROBES`` random probes of 100 bp (block-64) and 1000 bp
-(zigzag-32), the query probes of the two benchmark workloads. Each row
+(zigzag-32), the query probes of the two benchmark workloads: back to
+back (``call_s``), and each after a 0.1 s sleep (``call_after_idle_s``),
+the state a probe runs in right after another process has run. Each row
 carries the CRC-32 of its packed hashes.
 
 ``scan``: for each row count (20k and 1M) and hash width (32 to 4096 bits)
@@ -75,16 +77,22 @@ PROBE_SHAPES = ((100, SelectionStrategy("block", 64)), (1000, SelectionStrategy(
 _BASES = np.frombuffer(b"ATCG", dtype=np.uint8)
 
 
-def _time(row: dict, name: str, fn) -> None:
+def _time(row: dict, name: str, fn, idle: float = 0.0) -> None:
     """Set ``row[name + "_s"]`` to the median seconds of ``fn(i)``, i = 0, 1, ...,
-    and ``row[name + "_samples"]`` to the number of calls."""
+    and ``row[name + "_samples"]`` to the number of calls.
+
+    With ``idle``, each call follows a ``time.sleep(idle)``, which counts
+    toward ``MIN_SECONDS`` but not toward the call's time.
+    """
     times: list[float] = []
     total = 0.0
     while total < MIN_SECONDS or len(times) < MIN_SAMPLES:
+        if idle:
+            time.sleep(idle)
         start = time.perf_counter()
         fn(len(times))
         times.append(time.perf_counter() - start)
-        total += times[-1]
+        total += times[-1] + idle
     row[f"{name}_s"] = statistics.median(times)
     row[f"{name}_samples"] = len(times)
 
@@ -127,8 +135,13 @@ def kernel():
         packed = b"".join(compute_hash(probe, strategy).data for probe in probes)
         row = {"function": "compute_hash", "length": length, "strategy": _name(strategy),
                "rows": 1, "crc32": f"{zlib.crc32(packed):08x}"}
-        _time(row, "call", lambda i: compute_hash(probes[i % PROBES], strategy))
+
+        def call(i):
+            compute_hash(probes[i % PROBES], strategy)
+
+        _time(row, "call", call)
         row["hashes_per_second"] = round(1 / row["call_s"])
+        _time(row, "call_after_idle", call, idle=0.1)
         yield row
 
 
