@@ -230,7 +230,6 @@ def _simulation_config(args) -> SimulationConfig:
         return SimulationConfig(
             group="custom",
             seq_len=args.len,
-            hash_width=args.width,
             strategy=_strategy(args),
             divergence_rates=rates,
             n_primary=args.n,

@@ -109,23 +109,32 @@ class SelectionStrategy:
         if self.kind == "block" and math.isqrt(self.k) ** 2 != self.k:
             raise ValueError(f"block selection needs a square bit count, got {self.k}")
 
+    @property
+    def _skip(self) -> int:
+        """Cells of the walk before the first selected one: the DC cell, or none."""
+        return 1 if self.kind == "zigzag_skip_dc" else 0
+
+    @property
+    def min_dim(self) -> int:
+        """Side of the smallest matrix holding the selection: ⌈√(k + skip)⌉, or √k for a block."""
+        return math.isqrt(self.k + self._skip - 1) + 1
+
+    def _too_small(self, dim: int) -> str:
+        """Why a dim x dim matrix, smaller than ``min_dim``, cannot hold the selection."""
+        if self.kind == "block":
+            return f"block side {self.min_dim} does not fit a {dim}x{dim} matrix"
+        return (f"{self.kind} selection of {self.k} bits needs {self.k + self._skip} cells, "
+                f"but a {dim}x{dim} matrix has {dim * dim}")
+
     def positions(self, dim: int) -> tuple[tuple[int, int], ...]:
         """(row, col) cells in selection order over a dim x dim matrix."""
+        if dim < self.min_dim:
+            raise StrategyTooLarge(self._too_small(dim))
         if self.kind == "block":
-            side = math.isqrt(self.k)
-            if side > dim:
-                raise StrategyTooLarge(
-                    f"block side {side} does not fit a {dim}x{dim} matrix"
-                )
+            side = self.min_dim
             return tuple((i, j) for i in range(side) for j in range(side))
-        skip = 1 if self.kind == "zigzag_skip_dc" else 0
-        if self.k + skip > dim * dim:
-            raise StrategyTooLarge(
-                f"{self.kind} selection of {self.k} bits needs {self.k + skip} cells, "
-                f"but a {dim}x{dim} matrix has {dim * dim}"
-            )
         # Walk only as far as the selection reads, not all dim * dim cells.
-        return tuple(islice(_zigzag_walk(dim), skip, skip + self.k))
+        return tuple(islice(_zigzag_walk(dim), self._skip, self._skip + self.k))
 
 
 @lru_cache(maxsize=256)
@@ -226,12 +235,12 @@ class PerceptualHash:
 
     @classmethod
     def from_bits(cls, bits, strategy: SelectionStrategy, *, source_len: int = 0) -> "PerceptualHash":
-        arr = np.asarray(list(bits), dtype=np.uint8)
+        arr = np.asarray(list(bits))
         if arr.size != strategy.k:
             raise ValueError(f"expected {strategy.k} bits, got {arr.size}")
-        if arr.size and arr.max() > 1:
+        if arr.dtype.kind not in "biuf" or not np.all((arr == 0) | (arr == 1)):
             raise ValueError("bits must be 0 or 1")
-        return cls(data=np.packbits(arr).tobytes(), strategy=strategy, source_len=source_len)
+        return cls(data=np.packbits(arr == 1).tobytes(), strategy=strategy, source_len=source_len)
 
     @classmethod
     def from_binary_string(cls, text: str, strategy: SelectionStrategy, *, source_len: int = 0) -> "PerceptualHash":
@@ -383,24 +392,13 @@ def _hash_rows(codes: np.ndarray, take: np.ndarray | None,
     return out
 
 
-def _misfit(ids: list[str], lengths, strategy: SelectionStrategy) -> StrategyTooLarge:
-    """The error naming the first record, in input order, that ``strategy`` does not fit."""
-    for i in np.sort(np.unique(lengths, return_index=True)[1]).tolist():  # each length once
-        try:
-            _selection_arrays(strategy, matrix_dim(int(lengths[i])))
-        except StrategyTooLarge as exc:
-            return StrategyTooLarge(f"record {ids[i]!r}: {exc}")
-    raise AssertionError("every record fits")
-
-
 def _hash_records(starts: np.ndarray, lengths: np.ndarray, codes: np.ndarray,
                   strategy: SelectionStrategy) -> np.ndarray:
     """:func:`hash_codes` rows of records of any lengths, in input order.
 
     Record i is ``codes[starts[i]:starts[i] + lengths[i]]``. Records of one
     length are hashed together, as the rows of the codes' windows of that
-    length that start at their starts, shortest first: fit grows with
-    length, so a misfit raises StrategyTooLarge before any row is hashed.
+    length that start at their starts.
     """
     out = np.empty((len(lengths), (strategy.k + 7) // 8), dtype=np.uint8)
     order = np.argsort(lengths, kind="stable")
@@ -417,18 +415,24 @@ def _hash_batches(batches: Iterable[_Batch],
 
     An error in a record comes from ``batches`` when it is read. A record
     the strategy does not fit is reported only once every batch has been
-    read, so that a bad record anywhere wins over it.
+    read, so that a bad record anywhere wins over it. A record of L bases
+    lays out as a ⌈√L⌉-sided matrix, so it fits exactly when L exceeds
+    ``(min_dim - 1)²``; batches after the first misfit are read, not hashed.
     """
     ids: list[str] = []
     rows: list[np.ndarray] = [np.empty((0, (strategy.k + 7) // 8), dtype=np.uint8)]
     lengths: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    unfit = (strategy.min_dim - 1) ** 2
     misfit = None
     for batch in batches:
         if misfit is None:
-            try:
+            short = np.flatnonzero(batch.lengths <= unfit)
+            if short.size:
+                i = short[0]
+                reason = strategy._too_small(matrix_dim(int(batch.lengths[i])))
+                misfit = StrategyTooLarge(f"record {batch.ids[i]!r}: {reason}")
+            else:
                 rows.append(_hash_records(batch.starts, batch.lengths, batch.codes, strategy))
-            except StrategyTooLarge:  # raised for the shortest misfit, not the first
-                misfit = _misfit(batch.ids, batch.lengths, strategy)
         ids.extend(batch.ids)
         lengths.append(batch.lengths)
         del batch  # before the next read: a batch may hold one long record

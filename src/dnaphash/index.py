@@ -55,6 +55,15 @@ def _pad_rows(rows: np.ndarray) -> np.ndarray:
     return padded
 
 
+def _column(values, dtype, name: str) -> np.ndarray:
+    """``values`` as a contiguous ``dtype`` array; they must be integers that fit it."""
+    arr, info = np.asarray(values), np.iinfo(dtype)
+    if arr.dtype != dtype and arr.size and (
+            arr.dtype.kind not in "iu" or arr.min() < info.min or arr.max() > info.max):
+        raise ValueError(f"{name} must hold integers within {info.min}..{info.max}")
+    return np.ascontiguousarray(arr, dtype=dtype)
+
+
 @dataclass(frozen=True, eq=False)
 class HashIndex:
     """Records sharing one strategy and width, held as columns.
@@ -64,7 +73,8 @@ class HashIndex:
     significant bit first as in :class:`PerceptualHash`, followed by zero
     bytes up to a multiple of 8, so ``hashes.view(np.uint64)`` is one row
     of whole words per record at no cost. Ids must be non-empty and
-    unique, and every bit past the width must be zero.
+    unique, column values integers that fit the column's type (checked
+    before the cast), and every bit past the width must be zero.
     """
 
     strategy: SelectionStrategy
@@ -74,8 +84,8 @@ class HashIndex:
 
     def __post_init__(self):
         ids = tuple(self.ids)
-        source_len = np.ascontiguousarray(self.source_len, dtype=np.uint32)
-        hashes = np.ascontiguousarray(self.hashes, dtype=np.uint8)
+        source_len = _column(self.source_len, np.uint32, "source_len")
+        hashes = _column(self.hashes, np.uint8, "hashes")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "source_len", source_len)
         object.__setattr__(self, "hashes", hashes)

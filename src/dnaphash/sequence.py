@@ -36,8 +36,6 @@ PAD_VALUE = 0
 #: Shortest sequence that can fill a useful (2x2) pixel matrix.
 MIN_LENGTH = 4
 
-_VALID_BASES = frozenset(BASE_ORDER)
-
 # bytes.translate table so whole sequences encode without a Python loop;
 # every byte that is not an upper-case base becomes 255.
 _ASCII_TO_CODE = bytearray(b"\xff" * 256)
@@ -45,7 +43,7 @@ for _i, _b in enumerate(BASE_ORDER):
     _ASCII_TO_CODE[ord(_b)] = _i
 _CODE_TO_ASCII = np.frombuffer(BASE_ORDER.encode("ascii"), dtype=np.uint8)
 
-# The same table for FASTA text, lower case included.
+# The same table for FASTA text and :class:`Sequence`, lower case included.
 _FASTA_TO_CODE = bytearray(_ASCII_TO_CODE)
 for _i, _b in enumerate(BASE_ORDER.lower()):
     _FASTA_TO_CODE[ord(_b)] = _i
@@ -93,15 +91,6 @@ def matrix_dim(length: int) -> int:
     return dim
 
 
-def _first_invalid(bases: str) -> int | None:
-    if set(bases) <= _VALID_BASES:
-        return None
-    for i, ch in enumerate(bases):
-        if ch not in _VALID_BASES:
-            return i
-    return None
-
-
 @dataclass(frozen=True)
 class Sequence:
     """A validated DNA sequence: canonical uppercase A/T/C/G, at least 4 bp."""
@@ -110,15 +99,15 @@ class Sequence:
     bases: str
 
     def __post_init__(self):
-        canonical = self.bases.upper()
-        bad = _first_invalid(canonical)
-        if bad is not None:
+        # One "?" per non-ASCII character keeps positions those of the string.
+        bad = self.bases.encode("ascii", "replace").translate(_FASTA_TO_CODE).find(255)
+        if bad >= 0:
             raise InvalidBase(self.bases[bad], record_id=self.id, position=bad + 1)
-        if len(canonical) < MIN_LENGTH:
+        if len(self.bases) < MIN_LENGTH:
             raise SequenceTooShort(
-                f"sequence {self.id!r} is {len(canonical)} bp; at least {MIN_LENGTH} needed"
+                f"sequence {self.id!r} is {len(self.bases)} bp; at least {MIN_LENGTH} needed"
             )
-        object.__setattr__(self, "bases", canonical)
+        object.__setattr__(self, "bases", self.bases.upper())
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -130,7 +119,6 @@ class PixelMatrix:
 
     cells: np.ndarray  # (dim, dim) uint8, read-only
     payload_len: int   # leading cells that hold real bases
-    pad_value: int = PAD_VALUE
 
     @property
     def dim(self) -> int:
@@ -143,8 +131,6 @@ def layout_matrix(seq: Sequence) -> PixelMatrix:
     The side is ceil(sqrt(len)); cells past the payload keep intensity 0.
     """
     n = len(seq)
-    if n < MIN_LENGTH:
-        raise SequenceTooShort(f"{n} bp cannot fill a {MIN_LENGTH}-cell matrix")
     dim = matrix_dim(n)
     flat = np.full(dim * dim, PAD_VALUE, dtype=np.uint8)
     flat[:n] = CODE_TO_INTENSITY[codes_from_bases(seq.bases)]

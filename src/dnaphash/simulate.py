@@ -105,7 +105,6 @@ class SimulationConfig:
 
     group: str
     seq_len: int
-    hash_width: int
     strategy: SelectionStrategy
     divergence_rates: tuple[float, ...] = DEFAULT_RATES
     n_primary: int = DEFAULT_N_PRIMARY
@@ -114,10 +113,6 @@ class SimulationConfig:
     def __post_init__(self):
         if self.seq_len < MIN_LENGTH:
             raise ValueError(f"seq_len must be at least {MIN_LENGTH}")
-        if self.hash_width != self.strategy.k:
-            raise ValueError(
-                f"hash_width {self.hash_width} != strategy bit count {self.strategy.k}"
-            )
         if self.n_primary < 1:
             raise ValueError("n_primary must be positive")
         if not 0 <= self.seed < 2 ** 64:
@@ -134,13 +129,17 @@ class SimulationConfig:
         # Fail early if the hash cannot fit this length's matrix.
         self.strategy.positions(matrix_dim(self.seq_len))
 
+    @property
+    def hash_width(self) -> int:
+        """Bits per hash: the strategy's k."""
+        return self.strategy.k
+
 
 def _preset(group: str, seq_len: int, width: int) -> SimulationConfig:
     kind = "block" if width == 64 else "zigzag"
     return SimulationConfig(
         group=group,
         seq_len=seq_len,
-        hash_width=width,
         strategy=SelectionStrategy(kind, width),
     )
 

@@ -19,6 +19,7 @@ import pytest
 import dnaphash
 from dnaphash import (HashIndex, PerceptualHash, SelectionStrategy, Sequence, compute_hash,
                       load_index, query, query_topk, save_index)
+from dnaphash.bench import run_bench
 from dnaphash.cli import _atomic_write, main
 from window_oracle import expand_windows
 
@@ -139,6 +140,34 @@ class TestHash:
         assert "record 'mid': block side 8 does not fit a 7x7 matrix" in captured.err
         assert "tiny" not in captured.err
         assert sorted(os.listdir(tmp_path)) == ["a.fa", "b.fa"]
+
+    @pytest.mark.parametrize("strategy, bound, reason", [
+        ("block", 49, "block side 8 does not fit a 7x7 matrix"),
+        ("zigzag", 25, "zigzag selection of 32 bits needs 32 cells, but a 5x5 matrix has 25"),
+        ("zigzag_skip_dc", 25,
+         "zigzag_skip_dc selection of 32 bits needs 33 cells, but a 5x5 matrix has 25")])
+    def test_fit_bound_across_reader_batches(self, strategy, bound, reason, tmp_path,
+                                             monkeypatch, capsys):
+        # (min_dim - 1)² bp is the longest record a selection does not fit
+        width = "64" if strategy == "block" else "32"
+        strat = SelectionStrategy(strategy, int(width))
+        assert (strat.min_dim - 1) ** 2 == bound
+        monkeypatch.setattr(dnaphash.sequence, "_BLOCK_BYTES", 2 * bound)
+        fit = [("fit", ("ACGT" * bound)[:bound + 1]), ("late", ("GATC" * bound)[:bound + 1])]
+        fa = write_fasta(tmp_path / "ok.fa", fit)
+        assert run_cli("hash", "--width", width, "--strategy", strategy, fa) == 0
+        assert capsys.readouterr().out == "".join(
+            f"{rid}\t{compute_hash(Sequence(rid, bases), strat).to_hex()}\n" for rid, bases in fit)
+        # 'fit' is hashed alone; 'edge' comes first in the next batch, before the shorter 'tiny'
+        records = [fit[0], ("edge", "C" * bound), ("tiny", "ACGT"), fit[1]]
+        fa = write_fasta(tmp_path / "bad.fa", records)
+        batches = [b.ids for b in dnaphash.cli._batches([fa], "reject")]
+        assert batches == [["fit"], ["edge", "tiny"], ["late"]]
+        assert run_cli("hash", "--width", width, "--strategy", strategy, fa) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"record 'edge': {reason}" in captured.err
+        assert "tiny" not in captured.err
 
     def test_non_utf8_input_is_a_data_error(self, tmp_path, capsys):
         bad_base = tmp_path / "base.fa"
@@ -687,6 +716,10 @@ class TestBench:
 
     def test_bad_n_exits_1(self):
         assert run_cli("bench", "-n", "0") == 1
+
+    def test_run_bench_needs_min_length(self):
+        with pytest.raises(ValueError, match="seq_len must be at least 4"):
+            run_bench(seq_len=3)
 
 
 class TestAtomicWrites:

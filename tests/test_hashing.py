@@ -14,6 +14,7 @@ from dnaphash import (
     PerceptualHash,
     SelectionStrategy,
     Sequence,
+    SequenceTooShort,
     StrategyMismatch,
     StrategyTooLarge,
     WidthMismatch,
@@ -130,6 +131,10 @@ class TestZeroBand:
 
 
 class TestZigzag:
+    def test_dim_must_be_positive(self):
+        with pytest.raises(ValueError, match="dim must be positive"):
+            zigzag_positions(0)
+
     def test_dim_2(self):
         assert zigzag_positions(2) == ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -205,6 +210,36 @@ class TestStrategy:
         assert pos[0] == (0, 1)
         assert (0, 0) not in pos
 
+    def test_min_dim_is_where_positions_starts_to_fit(self):
+        for kind in STRATEGY_KINDS:
+            for k in range(1, MAX_WIDTH + 1):
+                if kind == "block" and math.isqrt(k) ** 2 != k:
+                    continue
+                strategy = SelectionStrategy(kind, k)
+                assert len(strategy.positions(strategy.min_dim)) == k
+                with pytest.raises(StrategyTooLarge):
+                    strategy.positions(strategy.min_dim - 1)
+
+    @pytest.mark.parametrize("strategy, shortest", [
+        (BLOCK64, 50), (ZIGZAG32, 26), (SelectionStrategy("zigzag_skip_dc", 32), 26),
+        (SelectionStrategy("block", 16), 10)])
+    def test_shortest_record_that_fits(self, strategy, shortest):
+        assert (strategy.min_dim - 1) ** 2 + 1 == shortest
+        hash_codes(np.zeros((1, shortest), dtype=np.uint8), strategy)
+        with pytest.raises(StrategyTooLarge):
+            hash_codes(np.zeros((1, shortest - 1), dtype=np.uint8), strategy)
+
+    @pytest.mark.parametrize("strategy, dim, text", [
+        (BLOCK64, 7, "block side 8 does not fit a 7x7 matrix"),
+        (ZIGZAG32, 5, "zigzag selection of 32 bits needs 32 cells, but a 5x5 matrix has 25"),
+        (SelectionStrategy("zigzag_skip_dc", 32), 5,
+         "zigzag_skip_dc selection of 32 bits needs 33 cells, but a 5x5 matrix has 25"),
+        (ZIGZAG32, 0, "zigzag selection of 32 bits needs 32 cells, but a 0x0 matrix has 0")])
+    def test_too_large_texts(self, strategy, dim, text):
+        with pytest.raises(StrategyTooLarge) as info:
+            strategy.positions(dim)
+        assert str(info.value) == text
+
 
 class TestSelectBits:
     def test_block_readout(self):
@@ -269,6 +304,41 @@ class TestPerceptualHash:
     def test_bit_values_validated(self):
         with pytest.raises(ValueError):
             PerceptualHash.from_bits([2, 0, 0, 0], SelectionStrategy("block", 4))
+
+    @pytest.mark.parametrize("bits", [
+        [0.5, 1, 0, 1], [1.9, 0, 0, 1], [-1, 0, 0, 1], [256, 0, 0, 1], ["0", "1", "0", "1"],
+        [float("nan"), 0, 0, 1]])
+    def test_bits_checked_before_the_cast(self, bits):
+        # a cast to uint8 would read 0.5 as 0, 1.9 as 1 and wrap 256 to 0
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            PerceptualHash.from_bits(bits, SelectionStrategy("block", 4))
+
+    @pytest.mark.parametrize("bits", [
+        [1, 0, 0, 1], [True, False, False, True], [1.0, 0.0, 0.0, 1.0],
+        np.array([1, 0, 0, 1], dtype=np.uint8)])
+    def test_bits_of_any_numeric_type(self, bits):
+        assert PerceptualHash.from_bits(bits, SelectionStrategy("block", 4)).to_hex() == "9"
+
+    def test_bit_count_checked(self):
+        with pytest.raises(ValueError, match="expected 4 bits, got 3"):
+            PerceptualHash.from_bits([1, 0, 1], SelectionStrategy("block", 4))
+
+    def test_negative_source_len(self):
+        with pytest.raises(ValueError, match="source_len cannot be negative"):
+            PerceptualHash(data=b"\x80", strategy=SelectionStrategy("block", 4), source_len=-1)
+
+    def test_binary_string_rejects_other_characters(self):
+        with pytest.raises(ValueError, match="may only contain 0, 1 and whitespace"):
+            PerceptualHash.from_binary_string("10x1", SelectionStrategy("block", 4))
+
+    def test_hex_digit_count_checked(self):
+        with pytest.raises(ValueError, match="32-bit hash renders as 8 hex digits, got 7"):
+            PerceptualHash.from_hex("c53ba03", ZIGZAG32)
+
+    def test_to_binary_string(self):
+        h = PerceptualHash.from_bits([1, 0, 0, 1, 1], SelectionStrategy("zigzag", 5))
+        assert h.to_binary_string() == "10011"
+        assert PerceptualHash.from_binary_string(h.to_binary_string(), h.strategy) == h
 
 
 class TestComputeHash:
@@ -354,6 +424,14 @@ class TestBatchPath:
                 one = compute_hash(Sequence("s", bases), strategy).data
                 with mock.patch.object(dnaphash.hashing, "_GEMM_MAX_MACS", 0):
                     assert one == hash_codes(codes_from_bases(bases)[None], strategy).tobytes()
+
+    def test_select_bits_needs_a_square_matrix(self):
+        with pytest.raises(ValueError, match=r"expected a square sign matrix, got shape \(2, 3\)"):
+            select_bits(np.zeros((2, 3), dtype=np.uint8), SelectionStrategy("block", 4))
+
+    def test_rows_under_min_length(self):
+        with pytest.raises(SequenceTooShort, match="3 bp cannot fill a 4-cell matrix"):
+            hash_codes(np.zeros((1, 3), dtype=np.uint8), SelectionStrategy("block", 1))
 
     def test_stack_shape_validated(self):
         with pytest.raises(ValueError):

@@ -146,6 +146,34 @@ class TestBuild:
             build_index(seqs, BLOCK64)
 
 
+class TestColumns:
+    def test_shapes_must_match_the_ids(self):
+        msg = (r"2 ids need source_len of shape \(2,\) and hashes of shape \(2, 8\); "
+               r"got \(3,\) and \(2, 8\)")
+        with pytest.raises(ValueError, match=msg):
+            HashIndex(ZIGZAG32, ("a", "b"), np.zeros(3, np.uint32), np.zeros((2, 8), np.uint8))
+
+    @pytest.mark.parametrize("source_len", [
+        np.array([-1]), np.array([2**32 + 5]), np.array([1.7]), [-1]])
+    def test_source_len_checked_before_the_cast(self, source_len):
+        # a cast to uint32 would wrap -1 to 4294967295 and 2**32 + 5 to 5, and truncate 1.7
+        with pytest.raises(ValueError, match=r"source_len must hold integers within 0\.\.4294967295"):
+            HashIndex(ZIGZAG32, ("a",), source_len, np.zeros((1, 8), np.uint8))
+
+    @pytest.mark.parametrize("hashes", [
+        np.full((1, 8), 256), np.full((1, 8), -128), np.full((1, 8), 1.9)])
+    def test_hash_bytes_checked_before_the_cast(self, hashes):
+        # a cast to uint8 would wrap 256 to 0 and -128 to 128, and truncate 1.9 to 1
+        with pytest.raises(ValueError, match=r"hashes must hold integers within 0\.\.255"):
+            HashIndex(ZIGZAG32, ("a",), [7], hashes)
+
+    def test_integer_columns_of_other_types(self):
+        idx = HashIndex(ZIGZAG32, ("a",), [7], [[255, 0, 0, 1, 0, 0, 0, 0]])
+        assert idx.source_len.dtype == np.uint32 and idx.source_len.tolist() == [7]
+        assert idx.hashes.dtype == np.uint8 and idx.hashes[0, :4].tolist() == [255, 0, 0, 1]
+        assert len(HashIndex(ZIGZAG32, (), [], np.empty((0, 8)))) == 0
+
+
 class TestWindows:
     def test_window_ids_and_hashes(self):
         seq = _random_sequences(1, 300, seed=3)[0]

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import pickle
 import random
 from unittest import mock
 
@@ -28,6 +29,24 @@ from dnaphash import (
 )
 from dnaphash.sequence import PAD_VALUE, _stream_fasta, bases_from_codes, codes_from_bases
 
+# Bytes and characters next to the alphabet: control bytes, letters whose
+# case mapping leaves ASCII or changes length, a lone surrogate, an emoji.
+_ODD_SYMBOLS = ["N", "n", " ", "\t", "\x00", "\x7f", "é", "ß", "ﬁ", "ı", "ſ", "İ", "ẗ", "ẚ",
+                "ﬅ", "\ud800", "\U0001f600"]
+
+
+def _set_rule(bases):
+    """What ``Sequence("r", bases)`` should give, by a set test over the upper-cased bases.
+
+    The first bad symbol is found one character at a time: a character may
+    upper-case to several ("ẗ" to "T" and a combining mark).
+    """
+    valid = frozenset("ACGT")
+    if not set(bases.upper()) <= valid:
+        i = next(i for i, ch in enumerate(bases) if ch.upper() not in valid)
+        return ("bad", bases[i], i + 1)
+    return ("ok", bases.upper()) if len(bases) >= 4 else ("short",)
+
 
 class TestEncoding:
     def test_intensity_table(self):
@@ -48,6 +67,10 @@ class TestEncoding:
     def test_round_trip(self):
         for base, value in BASE_TO_INTENSITY.items():
             assert decode_intensity(value) == base
+
+    def test_decode_rejects_other_intensities(self):
+        with pytest.raises(ValueError, match="no nucleotide has intensity 64"):
+            decode_intensity(64)
 
     def test_evenly_spaced_intensities(self):
         # all four levels 64 apart, topping out at the brightest 8-bit value
@@ -88,6 +111,33 @@ class TestSequence:
         assert err.value.record_id == "rec9"
         assert err.value.position == 4
         assert "rec9" in str(err.value)
+
+    @pytest.mark.parametrize("bases, symbol, position", [
+        ("ẗ", "ẗ", 1), ("ACGTẗAAAA", "ẗ", 5), ("AẚCGT", "ẚ", 2), ("ßACGT", "ß", 1)])
+    def test_characters_that_upper_case_to_several(self, bases, symbol, position):
+        # "ẗ".upper() is "T" and a combining mark, so positions count the bases as given
+        with pytest.raises(InvalidBase) as err:
+            Sequence("r", bases)
+        assert (err.value.base, err.value.position) == (symbol, position)
+
+    def test_invalid_base_pickles(self):
+        err = pickle.loads(pickle.dumps(InvalidBase("N", record_id="r1", position=7)))
+        assert (type(err), err.base, err.record_id, err.position) == (InvalidBase, "N", "r1", 7)
+        assert str(err) == "invalid base 'N' in record 'r1' at position 7"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text("ACGTacgt", max_size=24) | st.text(
+        st.sampled_from("ACGTacgt") | st.sampled_from(_ODD_SYMBOLS) | st.characters(),
+        max_size=24))
+    def test_matches_the_set_rule(self, bases):
+        try:
+            got = ("ok", Sequence("r", bases).bases)
+        except InvalidBase as err:
+            assert err.record_id == "r"
+            got = ("bad", err.base, err.position)
+        except SequenceTooShort:
+            got = ("short",)
+        assert got == _set_rule(bases)
 
 
 class TestLayout:
@@ -339,8 +389,8 @@ class TestStreamedReader:
         path.write_bytes(b">a desc\r\nACGT\r\nacgt\r\n\r\n>b\nGGGGCCCC\n")
         with mock.patch.object(dnaphash.sequence, "_parse_lines",
                                side_effect=AssertionError("line parser used")), \
-                mock.patch.object(dnaphash.sequence, "_first_invalid",
-                                  side_effect=AssertionError("_first_invalid used")):
+                mock.patch.object(dnaphash.sequence, "Sequence",
+                                  side_effect=AssertionError("Sequence built")):
             ids, lengths, codes = _streamed(path, "reject", 8)
         assert (ids, lengths) == (["a", "b"], [8, 8])
         assert codes == codes_from_bases("ACGTACGTGGGGCCCC").tobytes()

@@ -135,6 +135,14 @@ class TestMutate:
         mutate_sequence(seq, 0.5, rng)
         assert seq.bases == before
 
+    def test_rate_that_rounds_to_no_mutation(self):
+        # round(0.01 * 40) is 0: the variant is the primary, and no draw is made
+        rng = sequence_rng(6, 0)
+        seq = Sequence("m", "ACGT" * 10)
+        out = mutate_sequence(seq, 0.01, rng)
+        assert (out.id, out.bases) == ("m|div0.01", seq.bases)
+        assert rng.bit_generator.state == sequence_rng(6, 0).bit_generator.state
+
     @pytest.mark.parametrize("rate", [0.0, -0.1, 1.5])
     def test_rate_bounds(self, rate):
         with pytest.raises(ValueError):
@@ -144,7 +152,7 @@ class TestMutate:
 class TestConfig:
     def test_rates_sorted_on_construction(self):
         cfg = SimulationConfig(
-            group="x", seq_len=100, hash_width=32,
+            group="x", seq_len=100,
             strategy=SelectionStrategy("zigzag", 32),
             divergence_rates=(0.5, 0.05, 1.0),
         )
@@ -153,14 +161,14 @@ class TestConfig:
     def test_duplicate_rates_rejected(self):
         with pytest.raises(ValueError):
             SimulationConfig(
-                group="x", seq_len=100, hash_width=32,
+                group="x", seq_len=100,
                 strategy=SelectionStrategy("zigzag", 32),
                 divergence_rates=(0.1, 0.1),
             )
 
     def test_identity_rate_allowed(self):
         cfg = SimulationConfig(
-            group="x", seq_len=100, hash_width=32,
+            group="x", seq_len=100,
             strategy=SelectionStrategy("zigzag", 32),
             divergence_rates=(0.0, 0.5),
         )
@@ -169,29 +177,37 @@ class TestConfig:
     def test_rate_out_of_range(self):
         with pytest.raises(ValueError):
             SimulationConfig(
-                group="x", seq_len=100, hash_width=32,
+                group="x", seq_len=100,
                 strategy=SelectionStrategy("zigzag", 32),
                 divergence_rates=(0.1, 1.01),
-            )
-
-    def test_width_strategy_disagreement(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(
-                group="x", seq_len=100, hash_width=64,
-                strategy=SelectionStrategy("zigzag", 32),
             )
 
     def test_strategy_must_fit_matrix(self):
         with pytest.raises(Exception):
             SimulationConfig(
-                group="x", seq_len=16, hash_width=64,
+                group="x", seq_len=16,
                 strategy=SelectionStrategy("block", 64),
             )
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("seq_len", 3, "seq_len must be at least 4"),
+        ("n_primary", 0, "n_primary must be positive"),
+        ("divergence_rates", (), "at least one divergence rate is required")])
+    def test_field_checks(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            SimulationConfig(**{"group": "x", "seq_len": 100,
+                                "strategy": SelectionStrategy("zigzag", 32), field: value})
+
+    def test_hash_width_is_the_strategy_width(self):
+        cfg = SimulationConfig(group="x", seq_len=100, strategy=SelectionStrategy("zigzag", 32))
+        assert cfg.hash_width == 32
+        with pytest.raises(AttributeError):
+            cfg.hash_width = 64
 
     def test_seed_bounds(self):
         with pytest.raises(ValueError):
             SimulationConfig(
-                group="x", seq_len=100, hash_width=32,
+                group="x", seq_len=100,
                 strategy=SelectionStrategy("zigzag", 32), seed=2 ** 64,
             )
 
@@ -316,7 +332,7 @@ class TestRunGroup:
     @pytest.mark.parametrize("rates", [DEFAULT_RATES, (1.0,)])
     def test_chunks_hold_at_most_6mb_of_codes(self, rates):
         for seq_len in np.unique(np.geomspace(100, 1_000_000, 200).astype(int)).tolist():
-            cfg = SimulationConfig("X", seq_len, 64, SelectionStrategy("block", 64), rates, 1)
+            cfg = SimulationConfig("X", seq_len, SelectionStrategy("block", 64), rates, 1)
             chunk = _chunk_size(cfg)
             streams = len(rates) + 1
             assert chunk == 1 or chunk * streams * matrix_dim(seq_len) ** 2 <= 6_000_000, seq_len
