@@ -38,7 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SequenceTooShort, StrategyMismatch, StrategyTooLarge, WidthMismatch
-from .sequence import MIN_LENGTH, Sequence, _Batch, codes_from_bases, matrix_dim
+from .sequence import MIN_LENGTH, Sequence, _Batch, _Ids, codes_from_bases, matrix_dim
 from .transform import basis_rows
 
 STRATEGY_KINDS = ("block", "zigzag", "zigzag_skip_dc")
@@ -410,7 +410,7 @@ def _hash_records(starts: np.ndarray, lengths: np.ndarray, codes: np.ndarray,
 
 
 def _hash_batches(batches: Iterable[_Batch],
-                  strategy: SelectionStrategy) -> tuple[list[str], np.ndarray, np.ndarray]:
+                  strategy: SelectionStrategy) -> tuple[_Ids, np.ndarray, np.ndarray]:
     """Ids, packed hash rows and lengths of every record, each batch hashed as it is read.
 
     An error in a record comes from ``batches`` when it is read. A record
@@ -419,7 +419,7 @@ def _hash_batches(batches: Iterable[_Batch],
     lays out as a ⌈√L⌉-sided matrix, so it fits exactly when L exceeds
     ``(min_dim - 1)²``; batches after the first misfit are read, not hashed.
     """
-    ids: list[str] = []
+    ids: list[_Ids] = []
     rows: list[np.ndarray] = [np.empty((0, (strategy.k + 7) // 8), dtype=np.uint8)]
     lengths: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     unfit = (strategy.min_dim - 1) ** 2
@@ -433,12 +433,12 @@ def _hash_batches(batches: Iterable[_Batch],
                 misfit = StrategyTooLarge(f"record {batch.ids[i]!r}: {reason}")
             else:
                 rows.append(_hash_records(batch.starts, batch.lengths, batch.codes, strategy))
-        ids.extend(batch.ids)
+        ids.append(batch.ids if isinstance(batch.ids, _Ids) else _Ids.of(batch.ids))
         lengths.append(batch.lengths)
         del batch  # before the next read: a batch may hold one long record
     if misfit is not None:
         raise misfit
-    return ids, np.concatenate(rows), np.concatenate(lengths)
+    return _Ids.join(ids), np.concatenate(rows), np.concatenate(lengths)
 
 
 def compute_hash(seq: Sequence, strategy: SelectionStrategy) -> PerceptualHash:

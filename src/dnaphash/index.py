@@ -16,8 +16,9 @@ from __future__ import annotations
 import logging
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from operator import itemgetter
 from typing import BinaryIO, Iterable, Iterator
 
@@ -35,7 +36,7 @@ from .errors import (
     WidthMismatch,
 )
 from .hashing import STRATEGY_KINDS, PerceptualHash, SelectionStrategy, _hash_batches
-from .sequence import MIN_LENGTH, Sequence, _Batch, _batch_of
+from .sequence import MIN_LENGTH, Sequence, _Batch, _batch_of, _id_runs, _Ids
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +65,7 @@ def _column(values, dtype, name: str) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=dtype)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class HashIndex:
     """Records sharing one strategy and width, held as columns.
 
@@ -75,36 +76,38 @@ class HashIndex:
     of whole words per record at no cost. Ids must be non-empty and
     unique, column values integers that fit the column's type (checked
     before the cast), and every bit past the width must be zero.
+
+    The ids are kept as one UTF-8 column; ``ids`` decodes it on first access.
     """
 
     strategy: SelectionStrategy
-    ids: tuple[str, ...]
     source_len: np.ndarray  # uint32[N]
     hashes: np.ndarray  # uint8[N, 8 * ceil(nbytes / 8)]
+    _ids: _Ids = field(repr=False)
 
-    def __post_init__(self):
-        ids = tuple(self.ids)
-        source_len = _column(self.source_len, np.uint32, "source_len")
-        hashes = _column(self.hashes, np.uint8, "hashes")
-        object.__setattr__(self, "ids", ids)
+    def __init__(self, strategy: SelectionStrategy, ids: Iterable[str], source_len, hashes):
+        # The package passes its ids as a column already; a lone surrogate fails to encode.
+        ids = ids if isinstance(ids, _Ids) else _Ids.of(list(ids))
+        source_len = _column(source_len, np.uint32, "source_len")
+        hashes = _column(hashes, np.uint8, "hashes")
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "source_len", source_len)
         object.__setattr__(self, "hashes", hashes)
 
+        n = len(ids)
         nbytes = (self.width + 7) // 8
         row_bytes = -(-nbytes // 8) * 8
-        if source_len.shape != (len(ids),) or hashes.shape != (len(ids), row_bytes):
+        if source_len.shape != (n,) or hashes.shape != (n, row_bytes):
             raise ValueError(
-                f"{len(ids)} ids need source_len of shape ({len(ids)},) and hashes of shape "
-                f"({len(ids)}, {row_bytes}); got {source_len.shape} and {hashes.shape}"
+                f"{n} ids need source_len of shape ({n},) and hashes of shape "
+                f"({n}, {row_bytes}); got {source_len.shape} and {hashes.shape}"
             )
-        if "" in ids:
+        if not np.diff(ids.offsets).all():
             raise ValueError("record ids cannot be empty")
-        if len(set(ids)) != len(ids):
-            seen = set()
-            for rid in ids:
-                if rid in seen:
-                    raise DuplicateId(f"duplicate record id {rid!r}")
-                seen.add(rid)
+        repeat = _first_repeat(ids)
+        if repeat >= 0:
+            raise DuplicateId(f"duplicate record id {ids[repeat]!r}")
         pad_mask = (1 << (nbytes * 8 - self.width)) - 1
         if np.any(hashes[:, nbytes - 1] & pad_mask) or np.any(hashes[:, nbytes:]):
             raise ValueError("trailing padding bits must be zero")
@@ -134,12 +137,18 @@ class HashIndex:
         return self.strategy.k
 
     @cached_property
+    def ids(self) -> tuple[str, ...]:
+        """Every record's id, in order; decoded from the id column on first access."""
+        return tuple(self._ids)
+
+    @cached_property
     def _id_rank(self) -> np.ndarray:
         """Each record's place among the ids in Python ``str`` order, as intp[N].
 
         Computed on first use. Query results break distance ties with it.
+        Sorting an object array makes no Python ``int`` per record.
         """
-        order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
+        order = np.argsort(np.array(self.ids, dtype=object), kind="stable")
         rank = np.empty(len(order), dtype=np.intp)
         rank[order] = np.arange(len(order))
         return rank
@@ -157,7 +166,57 @@ class HashIndex:
         return columns
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self._ids)
+
+
+def _first_repeat(ids: _Ids) -> int:
+    """The row of the first id, in input order, equal to an earlier one; -1 if none is.
+
+    Each id gets a 64-bit key, the wrapping sum of a mix of each of its
+    (position, byte) pairs, so equal ids get equal keys. Only the ids whose
+    keys repeat are compared as bytes. The ids must be non-empty.
+    """
+    n, offsets = len(ids), ids.offsets
+    if n < 2:
+        return -1
+    data = np.frombuffer(ids.data, dtype=np.uint8)
+    keys = np.empty(n, dtype=np.uint64)
+    for a, b in _id_runs(offsets):
+        starts, lengths = offsets[a:b] - offsets[a], np.diff(offsets[a:b + 1])
+        x = np.arange(offsets[b] - offsets[a], dtype=np.int64)
+        x -= np.repeat(starts, lengths)  # each byte's position in its id
+        x <<= 8
+        x |= data[offsets[a]:offsets[b]]
+        x = x.view(np.uint64)
+        x += np.uint64(0x9E3779B97F4A7C15)  # then splitmix64's mix, in place
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+        keys[a:b] = np.add.reduceat(x, starts)
+    ordered = np.sort(keys)
+    if not np.any(ordered[1:] == ordered[:-1]):
+        return -1
+    del ordered
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    same = keys[1:] == keys[:-1]
+    shared = np.zeros(n, dtype=bool)  # rows whose key another row has, by key then row
+    shared[1:] |= same
+    shared[:-1] |= same
+    first = n
+    for _, run in groupby(zip(keys[shared].tolist(), order[shared].tolist()), key=itemgetter(0)):
+        seen = set()
+        for _, row in run:
+            if row >= first:
+                break
+            value = ids.data[offsets[row]:offsets[row + 1]]
+            if value in seen:
+                first = row
+                break
+            seen.add(value)
+    return first if first < n else -1
 
 
 def build_index(
@@ -206,7 +265,7 @@ def _build(batches: Iterable[_Batch], strategy: SelectionStrategy, *, window: in
     ids, rows, source_len = _hash_batches(batches, strategy)
     if not ids:
         raise ValueError("nothing to index: no sequences (or no windows) supplied")
-    return HashIndex(strategy, tuple(ids), source_len, _pad_rows(rows))
+    return HashIndex(strategy, ids, source_len, _pad_rows(rows))
 
 
 def _windows(batches: Iterable[_Batch], window: int, step: int) -> Iterator[_Batch]:
@@ -217,18 +276,43 @@ def _windows(batches: Iterable[_Batch], window: int, step: int) -> Iterator[_Bat
     """
     short: list[tuple[str, int]] = []
     for batch in batches:
-        ids, starts = [], [np.empty(0, dtype=np.int64)]
-        for rid, start, length in zip(batch.ids, batch.starts.tolist(), batch.lengths.tolist()):
-            if length < window:
-                short.append((rid, length))
-                continue
-            ids.extend(f"{rid}:{off}" for off in range(0, length - window + 1, step))
-            starts.append(np.arange(start, start + length - window + 1, step))
-        yield _Batch(ids, np.concatenate(starts), np.full(len(ids), window), batch.codes)
+        short.extend((batch.ids[i], int(batch.lengths[i]))
+                     for i in np.flatnonzero(batch.lengths < window).tolist())
+        counts = np.maximum((batch.lengths - window) // step + 1, 0)  # windows per parent
+        parent = np.repeat(np.arange(len(counts)), counts)
+        offsets = (np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)) * step
+        yield _Batch(_window_ids(_Ids.of(batch.ids), parent, offsets),
+                     batch.starts[parent] + offsets, np.full(len(parent), window), batch.codes)
         del batch  # before the next read: a batch may hold one long record
     for rid, length in short:
         log.warning("sequence %r (%d bp) is shorter than the %d bp window; skipped",
                     rid, length, window)
+
+
+#: 10, 100, ..., 10^18: an int64 offset has one digit more than it has of these at or below it.
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _window_ids(parents: _Ids, parent: np.ndarray, offsets: np.ndarray) -> _Ids:
+    """The ids ``parent:offset`` of windows, as one column written from the parents' bytes.
+
+    Window w is at ``offsets[w]`` of parent ``parent[w]``.
+    """
+    first, size = parents.offsets[parent], np.diff(parents.offsets)[parent]
+    digits = np.searchsorted(_POWERS_OF_TEN, offsets, side="right") + 1
+    ends = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(size + 1 + digits)])
+    out = np.empty(ends[-1], dtype=np.uint8)
+    data = np.frombuffer(parents.data, dtype=np.uint8)
+    for a, b in _id_runs(ends):
+        part, z, d, e = out[ends[a]:ends[b]], size[a:b], digits[a:b], ends[a + 1:b + 1] - ends[a]
+        is_parent = np.repeat(np.tile([True, False], b - a), np.column_stack([z, 1 + d]).ravel())
+        # byte t of window w's parent part is byte first[w] + t of the parents' data
+        part[is_parent] = data[np.arange(z.sum()) + np.repeat(first[a:b] - (np.cumsum(z) - z), z)]
+        part[e - d - 1] = ord(":")
+        for k in range(int(d.max())):  # the kth digit from the right
+            has = np.flatnonzero(d > k)
+            part[e[has] - 1 - k] = offsets[a:b][has] // 10 ** k % 10 + ord("0")
+    return _Ids(out.tobytes(), ends)
 
 
 def _words(index: HashIndex, probe: PerceptualHash) -> np.ndarray:
@@ -314,16 +398,9 @@ def index_bytes(index: HashIndex) -> bytes:
         0,
         count,
     )
-    joined = "".join(index.ids)
-    if joined.isascii():  # one encode; an ASCII id has one byte per character
-        encoded = joined.encode("ascii")
-        id_len = np.fromiter(map(len, index.ids), dtype=np.int64, count=count)
-    else:
-        each = [rid.encode("utf-8") for rid in index.ids]
-        encoded = b"".join(each)
-        id_len = np.fromiter(map(len, each), dtype=np.int64, count=count)
+    id_len = np.diff(index._ids.offsets)
     if count and id_len.max() > 0xFFFF:
-        rid = index.ids[int(np.argmax(id_len > 0xFFFF))]
+        rid = index._ids[int(np.argmax(id_len > 0xFFFF))]
         raise ValueError(f"record id {rid[:32]!r}... is too long to serialize")
     # A record is id length (u16 LE), id, source length (u32 LE) and hash;
     # every byte but the id's belongs to a fixed-size field.
@@ -332,16 +409,21 @@ def index_bytes(index: HashIndex) -> bytes:
         index.source_len.astype("<u4").view(np.uint8).reshape(-1, _SOURCE_LEN.size),
         index.hashes[:, :nbytes],
     ])
-    spans = np.column_stack([np.full(count, _ID_LEN.size), id_len,
-                             np.full(count, _SOURCE_LEN.size + nbytes)])
-    is_id = np.repeat(np.tile([False, True, False], count), spans.ravel())
+    is_id = _id_mask(id_len, nbytes)
     out = np.empty(_HEADER.size + is_id.size + _CRC.size, dtype=np.uint8)
     out[:_HEADER.size] = np.frombuffer(header, dtype=np.uint8)
     records = out[_HEADER.size:-_CRC.size]
-    records[is_id] = np.frombuffer(encoded, dtype=np.uint8)
+    records[is_id] = np.frombuffer(index._ids.data, dtype=np.uint8)
     records[~is_id] = fixed.ravel()
     out[-_CRC.size:] = np.frombuffer(_CRC.pack(zlib.crc32(out[:-_CRC.size])), dtype=np.uint8)
     return out.tobytes()
+
+
+def _id_mask(id_len: np.ndarray, nbytes: int) -> np.ndarray:
+    """Which bytes of the records, after the header, are id bytes: a bool mask."""
+    spans = np.column_stack([np.full(len(id_len), _ID_LEN.size), id_len,
+                             np.full(len(id_len), _SOURCE_LEN.size + nbytes)])
+    return np.repeat(np.tile([False, True, False], len(id_len)), spans.ravel())
 
 
 def save_index(index: HashIndex, sink: BinaryIO) -> None:
@@ -367,20 +449,19 @@ def load_index(source: BinaryIO) -> HashIndex:
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(f"index format version {version} is not supported")
 
-    # Only the variable-length ids need a walk; the fixed-size fields are
-    # gathered afterwards from the record start offsets.
+    # Only the variable-length ids need a walk; the ids and the fixed-size
+    # fields are gathered afterwards with a mask of the id bytes.
     nbytes = (width + 7) // 8
     fixed = _ID_LEN.size + _SOURCE_LEN.size + nbytes
     payload_end = len(data) - _CRC.size
-    starts, id_lens = [], []
+    id_lens = []
     offset = _HEADER.size
     for _ in range(count):
         if offset + _ID_LEN.size > payload_end:
             raise TruncatedFile("file ends inside a record id length")
-        id_len = data[offset] | data[offset + 1] << 8
-        starts.append(offset)
-        id_lens.append(id_len)
-        offset += fixed + id_len
+        length = data[offset] | data[offset + 1] << 8
+        id_lens.append(length)
+        offset += fixed + length
         if offset > payload_end:
             raise TruncatedFile("file ends inside a record")
     if offset != payload_end:
@@ -400,17 +481,26 @@ def load_index(source: BinaryIO) -> HashIndex:
     except ValueError as exc:
         raise UnsupportedVersion(f"header does not decode to a known strategy: {exc}") from None
 
+    id_len = np.array(id_lens, dtype=np.int64)
+    del id_lens
+    records = np.frombuffer(data, dtype=np.uint8)[_HEADER.size:payload_end]
+    is_id = _id_mask(id_len, nbytes)
+    id_bytes = records[is_id]
+    blob = id_bytes.tobytes()
+    starts = np.cumsum(id_len) - id_len
+    # Every id is UTF-8 exactly when the blob is and no id starts inside a character.
     try:
-        ids = [data[s + _ID_LEN.size:s + _ID_LEN.size + n].decode("utf-8")
-               for s, n in zip(starts, id_lens)]
+        blob.decode("utf-8")
+        inside = np.any((id_bytes[starts[id_len > 0]] & 0xC0) == 0x80)
     except UnicodeDecodeError:
-        raise IndexFormatError("record id is not valid UTF-8") from None
-    raw = np.frombuffer(data, dtype=np.uint8)
-    tail = np.array(starts, dtype=np.int64) + np.array(id_lens, dtype=np.int64) + _ID_LEN.size
-    source_len = raw[tail[:, None] + np.arange(_SOURCE_LEN.size)].view("<u4").reshape(-1)
-    rows = raw[tail[:, None] + np.arange(_SOURCE_LEN.size, _SOURCE_LEN.size + nbytes)]
+        inside = True
+    if inside:
+        raise IndexFormatError("record id is not valid UTF-8")
+    del id_bytes
+    tails = records[~is_id].reshape(count, fixed)
+    source_len = tails[:, _ID_LEN.size:_ID_LEN.size + _SOURCE_LEN.size].view("<u4").reshape(-1)
     try:
-        return HashIndex(strategy=strategy, ids=ids, source_len=source_len,
-                         hashes=_pad_rows(rows))
+        return HashIndex(strategy, _Ids(blob, np.append(starts, len(blob))), source_len,
+                         _pad_rows(tails[:, _ID_LEN.size + _SOURCE_LEN.size:]))
     except (ValueError, DuplicateId) as exc:
         raise IndexFormatError(f"index records are invalid: {exc}") from None

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -215,14 +216,84 @@ def read_fasta(path: str, *, n_policy: str = "reject") -> list[Sequence]:
         return parse_fasta(handle, n_policy=n_policy)
 
 
+#: Bytes of ids that id-column loops work on at a time; their temporaries
+#: take a few times 8 bytes per id byte.
+_ID_BYTES = 1 << 15
+
+
+def _id_runs(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Runs ``[a, b)`` of whole ids, one after another, of about ``_ID_BYTES`` each.
+
+    Id i spans ``offsets[i]:offsets[i + 1]``. A run starts at the first id
+    that starts at or after a multiple of ``_ID_BYTES``, so a run's ids start
+    within ``_ID_BYTES`` of each other, and only its last id may end further on.
+    """
+    n = len(offsets) - 1
+    bounds = list(dict.fromkeys(
+        np.searchsorted(offsets[:-1], np.arange(0, max(offsets[-1], 1), _ID_BYTES)).tolist() + [n]))
+    return zip(bounds, bounds[1:])
+
+
+@dataclass(frozen=True, eq=False)
+class _Ids:
+    """Record ids as one column: id i is the UTF-8 ``data[offsets[i]:offsets[i + 1]]``.
+
+    It reads as a sequence of ``str``: indexing decodes one id, and
+    iterating decodes a run of ids at a time, never one id on its own.
+    """
+
+    data: bytes
+    offsets: np.ndarray  # int64[N + 1], from 0 to len(data)
+
+    @classmethod
+    def of(cls, ids: list[str]) -> _Ids:
+        """``ids`` as a column; a lone surrogate raises ``UnicodeEncodeError``."""
+        joined = "".join(ids)
+        data = joined.encode("utf-8")
+        ends = np.cumsum(np.fromiter(map(len, ids), np.int64, len(ids)))  # in characters
+        if len(data) != len(joined):  # each character's first byte is not a continuation byte
+            firsts = np.flatnonzero((np.frombuffer(data, np.uint8) & 0xC0) != 0x80)
+            ends = np.append(firsts, len(data))[ends]
+        return cls(data, np.concatenate([np.zeros(1, np.int64), ends]))
+
+    @classmethod
+    def join(cls, columns: list[_Ids]) -> _Ids:
+        """The columns one after another."""
+        shifts = np.cumsum([0] + [len(c.data) for c in columns])
+        return cls(b"".join(c.data for c in columns), np.concatenate(
+            [np.zeros(1, np.int64)] + [c.offsets[1:] + s for c, s in zip(columns, shifts)]))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i: int) -> str:
+        return self.data[self.offsets[i]:self.offsets[i + 1]].decode("utf-8")
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(map(self._decode, _id_runs(self.offsets)))
+
+    def _decode(self, run: tuple[int, int]) -> list[str]:
+        """Ids ``[a, b)``, from one decode of their bytes."""
+        a, b = run
+        raw = self.data[self.offsets[a]:self.offsets[b]]
+        text = raw.decode("utf-8")
+        ends = self.offsets[a:b + 1] - self.offsets[a]
+        if len(text) != len(raw):  # byte offsets to character offsets
+            firsts = np.cumsum((np.frombuffer(raw, np.uint8) & 0xC0) != 0x80)
+            ends = np.concatenate([np.zeros(1, np.int64), firsts])[ends]
+        ends = ends.tolist()
+        return [text[start:end] for start, end in zip(ends, ends[1:])]
+
+
 class _Batch(NamedTuple):
     """Records in input order: their ids, starts and lengths, and the base codes they span.
 
     Record i's codes (0..3 for A, T, C, G) are ``codes[starts[i]:starts[i] +
     lengths[i]]``. The reader's records follow one another; windows may overlap.
+    The reader gives ids as ``str``s, windows as a column.
     """
 
-    ids: list[str]
+    ids: list[str] | _Ids
     starts: np.ndarray  # int64[N]
     lengths: np.ndarray  # int64[N]
     codes: np.ndarray  # uint8
@@ -328,17 +399,21 @@ def _stream_fasta(handle: BinaryIO, *, n_policy: str = "reject") -> Iterator[_Ba
     pending: list[bytes] = []
     while True:
         block = handle.read(_BLOCK_BYTES)
-        cut = max(block.rfind(b"\n>"), block.rfind(b"\r>")) + 1
+        cut = block.rfind(b"\n>") + 1
+        if b"\r" in block:
+            cut = max(cut, block.rfind(b"\r>") + 1)
         if block and not cut:
             pending.append(block)
             continue
         pending.append(block[:cut])
         data = b"".join(pending)
-        pending = [block[cut:]]
+        pending, last = [block[cut:]], not block
+        del block  # the batch is all the consumer needs of this text
         if data:
             batch, line = _batch_of_text(data, line, n_policy)
+            del data
             if batch.ids:
                 yield batch
             del batch  # before the next read: a batch may hold one long record
-        if not block:
+        if last:
             return

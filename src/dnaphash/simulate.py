@@ -190,26 +190,40 @@ class DistanceHistogram:
         return float((row * np.arange(row.size)).sum() / row.sum())
 
 
+#: Base codes :func:`_simulate_chunk` draws and hashes at a time (1 MiB),
+#: unless one ordinal alone holds more.
+_BLOCK_CODES = 1 << 20
+
+
 def _simulate_chunk(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
-    """Distances for ordinals [start, stop): a (stop-start, n_rates) array."""
+    """Distances for ordinals [start, stop): a (stop-start, n_rates) array.
+
+    The ordinals are drawn and hashed a block of at most ``_BLOCK_CODES``
+    codes at a time.
+    """
     rates = config.divergence_rates
-    count = stop - start
     streams = len(rates) + 1  # primary first, then one variant per rate
-    codes = np.empty((count, streams, config.seq_len), dtype=np.uint8)
-    for i, ordinal in enumerate(range(start, stop)):
-        rng = sequence_rng(config.seed, ordinal)
-        primary = _random_codes(config.seq_len, rng)
-        codes[i, 0] = primary
-        for j, rate in enumerate(rates, start=1):
-            codes[i, j] = primary if rate == 0.0 else _mutate_codes(primary, rate, rng)
-    packed = hash_codes(codes.reshape(count * streams, config.seq_len), config.strategy)
-    packed = packed.reshape(count, streams, -1)
-    return np.bitwise_count(packed[:, 1:] ^ packed[:, :1]).sum(axis=2, dtype=np.uint16)
+    block = max(1, _BLOCK_CODES // (streams * config.seq_len))
+    codes = np.empty((min(block, stop - start), streams, config.seq_len), dtype=np.uint8)
+    distances = np.empty((stop - start, len(rates)), dtype=np.uint16)
+    for first in range(start, stop, block):
+        count = min(block, stop - first)
+        for i, ordinal in enumerate(range(first, first + count)):
+            rng = sequence_rng(config.seed, ordinal)
+            primary = _random_codes(config.seq_len, rng)
+            codes[i, 0] = primary
+            for j, rate in enumerate(rates, start=1):
+                codes[i, j] = primary if rate == 0.0 else _mutate_codes(primary, rate, rng)
+        packed = hash_codes(codes[:count].reshape(count * streams, config.seq_len), config.strategy)
+        packed = packed.reshape(count, streams, -1)
+        distances[first - start:first - start + count] = np.bitwise_count(
+            packed[:, 1:] ^ packed[:, :1]).sum(axis=2, dtype=np.uint16)
+    return distances
 
 
 def _chunk_size(config: SimulationConfig) -> int:
-    # At most ~6 MB of codes per chunk (hash_codes bounds its floats), unless one
-    # ordinal alone holds more.
+    # Ordinals per chunk, and so the pool's split: at most ~6 MB of codes,
+    # unless one ordinal alone holds more. A chunk holds a block of them at a time.
     streams = len(config.divergence_rates) + 1
     cells = matrix_dim(config.seq_len) ** 2
     return max(1, min(2048, 6_000_000 // (streams * cells)))

@@ -81,9 +81,11 @@ def test_query(bench, tmp_path, capsys):
     records, _ = bench._write_inputs(np.random.default_rng(bench.SEED), str(tmp_path))
     for row in rows:
         assert list(row) == ["step", "windows", "index_crc32", "index_s", "index_samples",
-                             "load_index_s", "load_index_samples", "topk_lines", "topk_crc32",
-                             "topk_s", "topk_samples", "range_lines", "range_crc32", "range_s",
-                             "range_samples"]
+                             "index_rss_mb", "load_index_s", "load_index_samples", "topk_lines",
+                             "topk_crc32", "topk_s", "topk_samples", "topk_rss_mb", "range_lines",
+                             "range_crc32", "range_s", "range_samples", "range_rss_mb"]
+        # the peak of a process that imported numpy, in MB (ru_maxrss is in KiB)
+        assert all(10 < row[f"{mode}_rss_mb"] < 500 for mode in ("index", "topk", "range"))
         path = str(tmp_path / f"step{row['step']}.dph")
         assert cli.main(["index", records, "-o", path, "--window", str(bench.WINDOW),
                          "--step", str(row["step"]), "--width", "32", "--strategy", "zigzag"]) == 0

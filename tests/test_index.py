@@ -39,7 +39,7 @@ from dnaphash import (
     query_topk,
     save_index,
 )
-from dnaphash.sequence import matrix_dim
+from dnaphash.sequence import _Ids, matrix_dim
 from dnaphash.simulate import generate_sequence, sequence_rng
 from window_oracle import expand_windows
 
@@ -174,6 +174,86 @@ class TestColumns:
         assert len(HashIndex(ZIGZAG32, (), [], np.empty((0, 8)))) == 0
 
 
+def _v1_file(ids, width=8):
+    """A v1 index file of the given id bytes, written field by field, every hash zero."""
+    body = struct.pack("<4sHHBBQ", b"DPH1", 1, width, 1, 0, len(ids))
+    for rid in ids:
+        body += struct.pack("<H", len(rid)) + rid + struct.pack("<I", 0) + bytes((width + 7) // 8)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestIdColumn:
+    """The id checks of both ways in: ids given as ``str``s, and ids loaded as bytes."""
+
+    @staticmethod
+    def _from_strs(ids):
+        return HashIndex(SelectionStrategy("zigzag", 8), ids, np.zeros(len(ids), np.uint32),
+                         np.zeros((len(ids), 8), np.uint8))
+
+    @staticmethod
+    def _from_bytes(ids):
+        return load_index(io.BytesIO(_v1_file([rid.encode("utf-8") for rid in ids])))
+
+    @pytest.mark.parametrize("ids, repeat", [
+        (["a", "a", "b", "c"], "a"),
+        (["x", "y", "z", "y"], "y"),
+        (["p", "q", "q", "p"], "q"),  # the first row that repeats, not the first id repeated
+        (["é", "☃", "𝄞", "☃", "é"], "☃"),
+        (["a", "a\x00", "\x00", "\x00\x00"], None),
+        (["p" * 64 + "a", "p" * 64 + "b", "p" * 63 + "b"], None),
+        ([f"r{i}" for i in range(5000)] + ["r4999"], "r4999"),
+        ([f"r{i}" for i in range(5000)], None),
+    ])
+    def test_duplicate_names_first_repeat_in_input_order(self, ids, repeat):
+        message = f"duplicate record id {repeat!r}"
+        if repeat is None:
+            assert self._from_strs(ids).ids == tuple(ids)
+            assert self._from_bytes(ids).ids == tuple(ids)
+            return
+        with pytest.raises(DuplicateId, match=f"^{message}$"):
+            self._from_strs(ids)
+        with pytest.raises(IndexFormatError, match=f"^index records are invalid: {message}$"):
+            self._from_bytes(ids)
+
+    def test_long_id_is_checked_without_a_buffer_per_id(self):
+        import tracemalloc
+
+        long_id = "L" * 0xFFFF
+        ids = [f"s{i}" for i in range(1000)] + [long_id] + [f"t{i}" for i in range(1000)]
+        data = _v1_file([rid.encode() for rid in ids])
+        tracemalloc.start()
+        try:
+            assert len(self._from_strs(ids)) == 2001
+            assert load_index(io.BytesIO(data)).ids[1000] == long_id
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000  # 2001 ids of 0xFFFF bytes would be 131 MB
+        with pytest.raises(DuplicateId):
+            self._from_strs(ids + [long_id])
+        with pytest.raises(DuplicateId):
+            self._from_strs([long_id[:-1] + "M", long_id, "x", long_id])
+        assert len(self._from_strs([long_id[:-1] + "M", long_id])) == 2
+
+    def test_lone_surrogate_fails_when_the_index_is_built(self):
+        with pytest.raises(ValueError):
+            self._from_strs(["a", "b\udc80"])
+        with pytest.raises(ValueError):
+            build_index([Sequence("\ud800", "ACGT" * 25)], ZIGZAG32)
+
+    @pytest.mark.parametrize("ids", [[], [""], ["", ""], ["a", ""], ["", "é", ""],
+                                     ["x" * 70_000, "", "日本", "y"]])
+    def test_column_reads_back_as_its_strs(self, ids):
+        column = _Ids.of(ids)
+        assert len(column) == len(ids) and list(column) == ids
+        assert [column[i] for i in range(len(ids))] == ids
+
+    def test_ids_are_decoded_on_first_access(self):
+        idx = self._from_bytes(["é1", "a", "日本"])
+        assert "ids" not in vars(idx)
+        assert idx.ids == ("é1", "a", "日本") and idx.ids is idx.ids
+
+
 class TestWindows:
     def test_window_ids_and_hashes(self):
         seq = _random_sequences(1, 300, seed=3)[0]
@@ -253,6 +333,15 @@ class TestWindows:
                 got = build_index(seqs, strategy, window=window, step=step)
                 assert index_bytes(got) == index_bytes(build_index(pieces, strategy))
         assert [r.args[0] for r in caplog.records] == short
+
+    def test_window_ids_are_parent_colon_offset(self):
+        # digits of every count, and parents of 1- to 4-byte characters
+        parents = ["p", "é", "日本", "\U0001f600x", "chr1"]
+        parent = np.array([0, 0, 1, 2, 3, 4, 4, 4, 4])
+        offsets = np.array([0, 9, 10, 99, 100, 12345, 10**12, 10**18 - 1, 10**18])
+        got = dnaphash.index._window_ids(_Ids.of(parents), parent, offsets)
+        assert list(got) == [f"{parents[p]}:{o}" for p, o in zip(parent, offsets)]
+        assert len(dnaphash.index._window_ids(_Ids.of(parents), parent[:0], offsets[:0])) == 0
 
     def test_misfit_names_first_window(self):
         # the first parent is skipped, so the first window is q:0
@@ -581,6 +670,12 @@ class TestCorruption:
         blob += b"\0\0\0\0"
         with pytest.raises(IndexFormatError, match="empty"):
             self._parse(self._fix_crc(blob), tmp_path)
+
+    def test_id_split_inside_a_character_rejected(self):
+        # "x\xc3" then "\xa9y": the ids' bytes join into "xéy", but neither id is UTF-8
+        with pytest.raises(IndexFormatError, match="^record id is not valid UTF-8$"):
+            load_index(io.BytesIO(_v1_file([b"x\xc3", b"\xa9y"])))
+        assert load_index(io.BytesIO(_v1_file([b"x\xc3\xa9", b"y"]))).ids == ("xé", "y")
 
     def test_duplicate_ids_rejected(self, tmp_path):
         seqs = [Sequence("a1", "ACGT" * 25), Sequence("a2", "TTGA" * 25)]

@@ -27,9 +27,12 @@ index --window 1000 --width 32 --strategy zigzag`` at step 100 (about 24k
 windows) and at step 10 (about 240k). For each step it times that
 ``cli.main(["index", ...])`` build, ``load_index``, and ``cli.main(["query",
 ...])`` with ``--top-k 10`` and with ``--max-dist 8``, stdout sent to a null
-sink. It also reports the index file's CRC-32 (its trailer: the CRC-32 of
-every byte before it), and each query's line count and the CRC-32 of its
-output, so two checkouts can be checked for the same files and output.
+sink. Each of the three commands also runs once as ``python -m dnaphash``
+in a fresh process, whose peak RSS (``ru_maxrss``) the row reports in MB
+(``<name>_rss_mb``). It also reports the index file's CRC-32 (its trailer:
+the CRC-32 of every byte before it), and each query's line count and the
+CRC-32 of its output, so two checkouts can be checked for the same files
+and output.
 
 Every timing is the median seconds per call over at least ``MIN_SECONDS``
 and ``MIN_SAMPLES`` calls, so that it spans more than one of a shared
@@ -46,6 +49,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -53,6 +57,7 @@ import zlib
 
 import numpy as np
 
+import dnaphash
 from dnaphash import (PerceptualHash, SelectionStrategy, Sequence, cli, compute_hash, hash_codes,
                       load_index)
 from dnaphash.index import HashIndex, _distances, query_topk
@@ -199,6 +204,31 @@ def _cli(argv: list[str], sink) -> None:
         raise RuntimeError(f"dnaphash {' '.join(argv)} exited {code}")
 
 
+# Runs in a fresh interpreter that imports nothing large. A child's ru_maxrss
+# includes the high-water mark of the process that started it (Linux keeps it
+# across exec), so the command is started from this small process and not
+# from the benchmark, which holds far more memory than the command.
+_SPAWNER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _rss_mb(argv: list[str]) -> float:
+    """Peak RSS in MB of ``python -m dnaphash argv`` in a fresh process, on this package."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(dnaphash.__file__)))
+    paths = [root, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [root]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run([sys.executable, "-c", _SPAWNER, sys.executable, "-m", "dnaphash", *argv],
+                         env=env, stdout=subprocess.PIPE, text=True, check=True).stdout
+    code, maxrss_kb = map(int, out.split())
+    if code != 0:
+        raise RuntimeError(f"dnaphash {' '.join(argv)} exited {code}")
+    return maxrss_kb / 1024
+
+
 def _load(path: str) -> None:
     with open(path, "rb") as handle:
         load_index(handle)
@@ -221,6 +251,7 @@ def query():
                    "index_crc32": f"{zlib.crc32(data[:-4]):08x}"}
             del data
             _time(row, "index", lambda i: _cli(build, null))
+            row["index_rss_mb"] = _rss_mb(build)
             _time(row, "load_index", lambda i: _load(index))
             for mode, flag in (("topk", ["--top-k", str(TOP_K)]),
                                ("range", ["--max-dist", str(MAX_DIST)])):
@@ -232,6 +263,7 @@ def query():
                 row[f"{mode}_crc32"] = f"{zlib.crc32(out):08x}"
                 del text, out
                 _time(row, mode, lambda i: _cli(argv, null))
+                row[f"{mode}_rss_mb"] = _rss_mb(argv)
             yield row
 
 
