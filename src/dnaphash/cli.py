@@ -31,6 +31,7 @@ from .index import (
     _gather_ids,
     _nearest,
     _pad_rows,
+    _records,
     index_bytes,
     load_index,
 )
@@ -149,10 +150,12 @@ def _batches(paths: list[str], n_policy: str) -> Iterator[_Batch]:
 def cmd_hash(args) -> int:
     strategy = _strategy(args)
     ids, rows, _ = _hash_batches(_batches(args.fasta, args.n_policy), strategy)
-    digits = (strategy.k + 3) // 4
-    hexes = rows.tobytes().hex()
-    sys.stdout.write("".join([f"{rid}\t{hexes[at:at + digits]}\n"
-                              for rid, at in zip(ids, range(0, len(hexes), 2 * rows.shape[1]))]))
+    hexes = np.frombuffer(rows.data.hex().encode(), np.uint8).reshape(-1, 2 * rows.shape[1])
+    edge = np.ones((len(rows), 1), dtype=np.uint8)
+    tail = np.hstack([edge * ord("\t"), hexes[:, :(strategy.k + 3) // 4], edge * ord("\n")])
+    del hexes
+    sys.stdout.flush()
+    sys.stdout.buffer.write(_records(edge[:, :0], ids, tail))  # no head: id, then tail
     return EXIT_OK
 
 
@@ -188,9 +191,10 @@ def cmd_query(args) -> int:
             log.warning("%d of %d probes have a length no indexed record has, the first %r (%d bp); "
                         "hashes of unequal lengths are not similar",
                         unmatched.size, len(probes), probes[first], lengths[first])
+    sys.stdout.flush()
     for pid, words in zip(probes, _pad_rows(rows).view(np.uint64)):
         hits, dist = _nearest(index, words, k=args.top_k, max_dist=args.max_dist)
-        sys.stdout.write(_hit_lines(pid, index, hits, dist))
+        sys.stdout.buffer.write(_hit_lines(pid, index, hits, dist).encode("utf-8"))
     return EXIT_OK
 
 

@@ -433,7 +433,7 @@ def _hash_batches(batches: Iterable[_Batch],
                 misfit = StrategyTooLarge(f"record {batch.ids[i]!r}: {reason}")
             else:
                 rows.append(_hash_records(batch.starts, batch.lengths, batch.codes, strategy))
-        ids.append(batch.ids if isinstance(batch.ids, _Ids) else _Ids.of(batch.ids))
+        ids.append(batch.ids)
         lengths.append(batch.lengths)
         del batch  # before the next read: a batch may hold one long record
     if misfit is not None:

@@ -18,7 +18,6 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 from operator import itemgetter
 from typing import BinaryIO, Iterable, Iterator
 
@@ -174,7 +173,7 @@ def _first_repeat(ids: _Ids) -> int:
 
     Each id gets a 64-bit key, the wrapping sum of a mix of each of its
     (position, byte) pairs, so equal ids get equal keys. Only the ids whose
-    keys repeat are compared as bytes. The ids must be non-empty.
+    keys repeat are compared as bytes, in input order. The ids must be non-empty.
     """
     n, offsets = len(ids), ids.offsets
     if n < 2:
@@ -196,27 +195,13 @@ def _first_repeat(ids: _Ids) -> int:
         x ^= x >> np.uint64(31)
         keys[a:b] = np.add.reduceat(x, starts)
     ordered = np.sort(keys)
-    if not np.any(ordered[1:] == ordered[:-1]):
-        return -1
-    del ordered
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    same = keys[1:] == keys[:-1]
-    shared = np.zeros(n, dtype=bool)  # rows whose key another row has, by key then row
-    shared[1:] |= same
-    shared[:-1] |= same
-    first = n
-    for _, run in groupby(zip(keys[shared].tolist(), order[shared].tolist()), key=itemgetter(0)):
-        seen = set()
-        for _, row in run:
-            if row >= first:
-                break
-            value = ids.data[offsets[row]:offsets[row + 1]]
-            if value in seen:
-                first = row
-                break
-            seen.add(value)
-    return first if first < n else -1
+    seen = set()
+    for row in np.flatnonzero(np.isin(keys, ordered[1:][ordered[1:] == ordered[:-1]])).tolist():
+        value = ids.data[offsets[row]:offsets[row + 1]]
+        if value in seen:
+            return row
+        seen.add(value)
+    return -1
 
 
 def build_index(
@@ -233,8 +218,8 @@ def build_index(
     (``step`` defaults to the window size, i.e. non-overlapping), with ids
     ``parent:offset`` (0-based offsets). A sequence shorter than the
     window yields none, with a warning. A window under ``MIN_LENGTH``
-    bases, a step under 1 and a ``step`` without a ``window`` raise
-    ``ValueError``.
+    bases, a step under 1, a window or step over 2**63 - 1 and a ``step``
+    without a ``window`` raise ``ValueError``.
     """
     return _build([_batch_of(list(seqs))], strategy, window=window, step=step)
 
@@ -253,9 +238,11 @@ def _build(batches: Iterable[_Batch], strategy: SelectionStrategy, *, window: in
     if window is None:
         bad = None if step is None else "step only makes sense together with window"
     else:
-        step = window if step is None else step
+        step, top = window if step is None else step, np.iinfo(np.int64).max
         bad = (f"window must be at least {MIN_LENGTH} bp" if window < MIN_LENGTH
-               else "step must be positive" if step < 1 else None)
+               else f"window must be at most {top} bp" if window > top
+               else "step must be positive" if step < 1
+               else f"step must be at most {top}" if step > top else None)
     if bad is not None:
         for _ in batches:  # read on: a bad record anywhere wins
             pass
@@ -281,7 +268,7 @@ def _windows(batches: Iterable[_Batch], window: int, step: int) -> Iterator[_Bat
         counts = np.maximum((batch.lengths - window) // step + 1, 0)  # windows per parent
         parent = np.repeat(np.arange(len(counts)), counts)
         offsets = (np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)) * step
-        yield _Batch(_window_ids(_Ids.of(batch.ids), parent, offsets),
+        yield _Batch(_window_ids(batch.ids, parent, offsets),
                      batch.starts[parent] + offsets, np.full(len(parent), window), batch.codes)
         del batch  # before the next read: a batch may hold one long record
     for rid, length in short:
@@ -402,27 +389,35 @@ def index_bytes(index: HashIndex) -> bytes:
     if count and id_len.max() > 0xFFFF:
         rid = index._ids[int(np.argmax(id_len > 0xFFFF))]
         raise ValueError(f"record id {rid[:32]!r}... is too long to serialize")
-    # A record is id length (u16 LE), id, source length (u32 LE) and hash;
-    # every byte but the id's belongs to a fixed-size field.
-    fixed = np.hstack([
-        id_len.astype("<u2").view(np.uint8).reshape(-1, _ID_LEN.size),
-        index.source_len.astype("<u4").view(np.uint8).reshape(-1, _SOURCE_LEN.size),
-        index.hashes[:, :nbytes],
-    ])
-    is_id = _id_mask(id_len, nbytes)
-    out = np.empty(_HEADER.size + is_id.size + _CRC.size, dtype=np.uint8)
-    out[:_HEADER.size] = np.frombuffer(header, dtype=np.uint8)
-    records = out[_HEADER.size:-_CRC.size]
-    records[is_id] = np.frombuffer(index._ids.data, dtype=np.uint8)
-    records[~is_id] = fixed.ravel()
-    out[-_CRC.size:] = np.frombuffer(_CRC.pack(zlib.crc32(out[:-_CRC.size])), dtype=np.uint8)
-    return out.tobytes()
+    records = _records(
+        id_len.astype("<u2").view(np.uint8).reshape(-1, _ID_LEN.size), index._ids,
+        np.hstack([index.source_len.astype("<u4").view(np.uint8).reshape(-1, _SOURCE_LEN.size),
+                   index.hashes[:, :nbytes]]))
+    crc = zlib.crc32(records, zlib.crc32(header))
+    return b"".join([header, records, _CRC.pack(crc)])
 
 
-def _id_mask(id_len: np.ndarray, nbytes: int) -> np.ndarray:
-    """Which bytes of the records, after the header, are id bytes: a bool mask."""
-    spans = np.column_stack([np.full(len(id_len), _ID_LEN.size), id_len,
-                             np.full(len(id_len), _SOURCE_LEN.size + nbytes)])
+def _records(head: np.ndarray, ids: _Ids, tail: np.ndarray) -> np.ndarray:
+    """Records one after another as one uint8 array: record i is ``head[i]``, id i, ``tail[i]``.
+
+    ``head`` and ``tail`` are (N, a) and (N, b) uint8 blocks. The records are
+    laid out one run of ids (:func:`_id_runs`) at a time, so the layout's
+    temporaries stay bounded.
+    """
+    offsets, fixed = ids.offsets, head.shape[1] + tail.shape[1]
+    out = np.empty(len(ids.data) + len(ids) * fixed, dtype=np.uint8)
+    data = np.frombuffer(ids.data, dtype=np.uint8)
+    for a, b in _id_runs(offsets):
+        is_id = _id_mask(np.diff(offsets[a:b + 1]), head.shape[1], tail.shape[1])
+        part = out[offsets[a] + a * fixed:offsets[b] + b * fixed]
+        part[is_id] = data[offsets[a]:offsets[b]]
+        part[~is_id] = np.hstack([head[a:b], tail[a:b]]).ravel()
+    return out
+
+
+def _id_mask(id_len: np.ndarray, before: int, after: int) -> np.ndarray:
+    """Which bytes of records of ``before`` bytes, an id and ``after`` bytes are id bytes."""
+    spans = np.column_stack([np.full(len(id_len), before), id_len, np.full(len(id_len), after)])
     return np.repeat(np.tile([False, True, False], len(id_len)), spans.ravel())
 
 
@@ -484,7 +479,7 @@ def load_index(source: BinaryIO) -> HashIndex:
     id_len = np.array(id_lens, dtype=np.int64)
     del id_lens
     records = np.frombuffer(data, dtype=np.uint8)[_HEADER.size:payload_end]
-    is_id = _id_mask(id_len, nbytes)
+    is_id = _id_mask(id_len, _ID_LEN.size, _SOURCE_LEN.size + nbytes)
     id_bytes = records[is_id]
     blob = id_bytes.tobytes()
     starts = np.cumsum(id_len) - id_len

@@ -290,10 +290,9 @@ class _Batch(NamedTuple):
 
     Record i's codes (0..3 for A, T, C, G) are ``codes[starts[i]:starts[i] +
     lengths[i]]``. The reader's records follow one another; windows may overlap.
-    The reader gives ids as ``str``s, windows as a column.
     """
 
-    ids: list[str] | _Ids
+    ids: _Ids
     starts: np.ndarray  # int64[N]
     lengths: np.ndarray  # int64[N]
     codes: np.ndarray  # uint8
@@ -302,7 +301,7 @@ class _Batch(NamedTuple):
 def _batch_of(seqs: list[Sequence]) -> _Batch:
     """One batch of validated sequences."""
     lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
-    return _Batch([s.id for s in seqs], np.cumsum(lengths) - lengths, lengths,
+    return _Batch(_Ids.of([s.id for s in seqs]), np.cumsum(lengths) - lengths, lengths,
                   codes_from_bases("".join(s.bases for s in seqs)))
 
 
@@ -330,7 +329,7 @@ def _batch_of_text(data: bytes, first_line: int, n_policy: str) -> tuple[_Batch,
 
     def batch() -> _Batch:
         n = np.array(lengths, dtype=np.int64)
-        return _Batch(ids, np.cumsum(n) - n, n, np.frombuffer(b"".join(codes), dtype=np.uint8))
+        return _Batch(_Ids.of(ids), np.cumsum(n) - n, n, np.frombuffer(b"".join(codes), np.uint8))
 
     if b"\r" in data:  # from here on every line ends in LF, as in a text file
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -363,7 +362,7 @@ def _batch_of_text(data: bytes, first_line: int, n_policy: str) -> tuple[_Batch,
     if not all(names):
         bad.update(i for i, name in enumerate(names) if not name)
     if not bad and not ids:
-        return _Batch(names, np.cumsum(body_lengths) - body_lengths, body_lengths,
+        return _Batch(_Ids.of(names), np.cumsum(body_lengths) - body_lengths, body_lengths,
                       np.frombuffer(joined, dtype=np.uint8)), next_line
 
     # Keep each run of fast records whole; reparse every other record alone,

@@ -22,7 +22,8 @@ def bench(monkeypatch):
     spec.loader.exec_module(module)
     for name, value in {"RECORDS": 3, "RECORD_LEN": 20_000, "PROBES": 6, "ROWS": (2000,),
                         "WIDTHS": (32, 100), "KERNEL_LENGTHS": (36, 1000), "KERNEL_BASES": 20_000,
-                        "MIN_SECONDS": 0.05, "MIN_SAMPLES": 3}.items():
+                        "READS": 2000, "FRESH_RUNS": 3, "MIN_SECONDS": 0.05,
+                        "MIN_SAMPLES": 3}.items():
         monkeypatch.setattr(module, name, value)
     return module
 
@@ -94,3 +95,20 @@ def test_query(bench, tmp_path, capsys):
         assert row["windows"] == len(load_index(io.BytesIO(data)))
         assert row["index_crc32"] == f"{zlib.crc32(data[:-4]):08x}"
         assert row["topk_lines"] == bench.PROBES * bench.TOP_K
+
+
+def test_cli(bench, tmp_path, capsys):
+    rows = _run(bench, tmp_path, "cli")
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    (row,) = rows
+    assert list(row) == ["command", "records", "length", "strategy", "stdout_bytes", "stdout_crc32",
+                         "wall_s", "wall_samples", "wall_range", "rss_mb", "rss_range_mb"]
+    assert (row["command"], row["records"], row["wall_samples"]) == ("hash", 2000, 3)
+    assert row["wall_range"][0] <= row["wall_s"] <= row["wall_range"][1]
+    assert 10 < row["rss_range_mb"][0] <= row["rss_mb"] <= row["rss_range_mb"][1] < 500
+    # The same reads and command, run here, print what the row describes.
+    reads = bench._write_reads(str(tmp_path))
+    assert cli.main(["hash", reads, "--width", "64", "--strategy", "block"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert out.count(b"\n") == 2000 and out.startswith(b"read0\t")
+    assert (row["stdout_bytes"], row["stdout_crc32"]) == (len(out), f"{zlib.crc32(out):08x}")

@@ -161,7 +161,7 @@ class TestHash:
         # 'fit' is hashed alone; 'edge' comes first in the next batch, before the shorter 'tiny'
         records = [fit[0], ("edge", "C" * bound), ("tiny", "ACGT"), fit[1]]
         fa = write_fasta(tmp_path / "bad.fa", records)
-        batches = [b.ids for b in dnaphash.cli._batches([fa], "reject")]
+        batches = [list(b.ids) for b in dnaphash.cli._batches([fa], "reject")]
         assert batches == [["fit"], ["edge", "tiny"], ["late"]]
         assert run_cli("hash", "--width", width, "--strategy", strategy, fa) == 2
         captured = capsys.readouterr()
@@ -228,6 +228,81 @@ class TestHash:
 
     def test_unknown_flag_exits_1(self, small_fasta):
         assert run_cli("hash", "--frobnicate", small_fasta) == 1
+
+
+#: Ids that are not plain ASCII: two- and three-byte characters, an astral one, a NUL.
+ODD_IDS = ["é", "日本", "x\U0001F9ECy", "a\x00b"]
+
+
+def write_utf8_fasta(path, records):
+    path.write_bytes("".join(f">{name}\n{bases}\n" for name, bases in records).encode("utf-8"))
+    return str(path)
+
+
+def hash_oracle(records, strategy):
+    """The bytes ``dnaphash hash`` prints for ``records``, from the library."""
+    return b"".join(f"{rid}\t{compute_hash(Sequence(rid, bases), strategy).to_hex()}\n".encode()
+                    for rid, bases in records)
+
+
+class TestHashBytes:
+    @pytest.mark.parametrize("block", [None, 64], ids=["one-batch", "split"])
+    @pytest.mark.parametrize("kind, width, length", [
+        ("zigzag", 28, 40), ("block", 4, 16), ("zigzag", 4096, 4000)],
+        ids=["zigzag-28", "block-4", "zigzag-4096"])
+    def test_stdout_is_the_oracle_bytes(self, kind, width, length, block, tmp_path, monkeypatch,
+                                        capsysbinary):
+        # zigzag-28 ends its hex mid-byte (7 digits); a 64-byte block splits the records
+        # across reader batches, and 8-byte runs of ids split the layout
+        rng = np.random.default_rng(width)
+        names = ODD_IDS + ["plain", "réad:7"]
+        records = [(name, "".join(rng.choice(list("ACGT"), size=length))) for name in names]
+        fa = write_utf8_fasta(tmp_path / "odd.fa", records)
+        if block is not None:
+            monkeypatch.setattr(dnaphash.sequence, "_BLOCK_BYTES", block)
+            monkeypatch.setattr(dnaphash.sequence, "_ID_BYTES", 8)
+        assert run_cli("hash", "--width", str(width), "--strategy", kind, fa) == 0
+        out = capsysbinary.readouterr().out
+        assert out == hash_oracle(records, SelectionStrategy(kind, width))
+        assert len(out.split(b"\n")[0].split(b"\t")[1]) == (width + 3) // 4
+
+    def test_every_record_skipped_prints_nothing(self, tmp_path, capsysbinary):
+        fa = write_utf8_fasta(tmp_path / "n.fa", [("é", "ACGTN" * 4), ("b", "NNNN")])
+        assert run_cli("hash", "--width", "4", "--n-policy", "skip-record", fa) == 0
+        assert capsysbinary.readouterr().out == b""
+
+    def test_hash_decodes_no_id(self, tmp_path, monkeypatch, capsysbinary):
+        records = [(name, "ACGTTGCA" * 4) for name in ODD_IDS]
+        fa = write_utf8_fasta(tmp_path / "odd.fa", records)
+
+        def refuse(self, run):
+            raise AssertionError("hash decoded ids")
+
+        monkeypatch.setattr(dnaphash.sequence._Ids, "_decode", refuse)
+        assert run_cli("hash", "--width", "16", fa) == 0
+        assert capsysbinary.readouterr().out == hash_oracle(records, SelectionStrategy("block", 16))
+
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        # stdout's text encoding cannot encode the ids; both commands still print UTF-8
+        records = [(name, "ACGTTGCA" * 4 + "ACGT" * i) for i, name in enumerate(ODD_IDS)]
+        fa = write_utf8_fasta(tmp_path / "odd.fa", records)
+        idx = str(tmp_path / "odd.dph")
+        assert run_cli("index", fa, "-o", idx, "--width", "16") == 0
+        strategy = SelectionStrategy("block", 16)
+        with open(idx, "rb") as handle:
+            index = load_index(handle)
+        probes = [compute_hash(Sequence(pid, bases), strategy) for pid, bases in records]
+        hits = b"".join(f"{pid}\t{rid}\t{d}\n".encode() for (pid, _), probe in zip(records, probes)
+                        for rid, d in query_topk(index, probe, 2))
+        src = os.path.dirname(os.path.dirname(dnaphash.__file__))
+        env = dict(os.environ, PYTHONIOENCODING="ascii", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for argv, want in ((["hash", "--width", "16", fa], hash_oracle(records, strategy)),
+                           (["query", idx, fa, "--top-k", "2"], hits)):
+            proc = subprocess.run([sys.executable, "-m", "dnaphash", *argv], capture_output=True,
+                                  timeout=60, env=env)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert proc.stdout == want
 
 
 class TestIndexAndQuery:
@@ -338,6 +413,23 @@ class TestIndexAndQuery:
             assert captured.out == b""
             assert captured.err.decode() == message
             assert os.listdir(tmp_path) == ["long-id.fa"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--window", str(10 ** 20)], f"window must be at most {2 ** 63 - 1} bp"),
+        (["--window", str(2 ** 63)], f"window must be at most {2 ** 63 - 1} bp"),
+        (["--window", "16", "--step", str(10 ** 20)], f"step must be at most {2 ** 63 - 1}"),
+    ], ids=["window", "window-2**63", "step"])
+    def test_window_or_step_past_int64_exits_1(self, flags, message, corpus, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        out = str(outdir / "x.dph")
+        assert run_cli("index", corpus, "-o", out, "--width", "16", *flags) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"dnaphash: error: {message}\n")
+        assert os.listdir(outdir) == []
+        # the largest int64 is a window and a step like any other
+        assert run_cli("index", corpus, "-o", out, "--width", "16", "--window", "16",
+                       "--step", str(2 ** 63 - 1)) == 0
 
     def test_step_without_window_exits_1(self, corpus, tmp_path):
         assert run_cli("index", corpus, "-o", str(tmp_path / "x.dph"), "--step", "10") == 1

@@ -293,6 +293,22 @@ class TestWindows:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 build_index([seq], ZIGZAG32, **kwargs)
 
+    def test_window_or_step_past_int64_raises(self, caplog):
+        seqs = [Sequence("s", "ACGT" * 25), Sequence("t", "GATTACA" * 20)]
+        top = 2 ** 63 - 1
+        for kwargs, message in [
+            (dict(window=10 ** 20), f"window must be at most {top} bp"),
+            (dict(window=top + 1, step=1), f"window must be at most {top} bp"),
+            (dict(window=40, step=10 ** 20), f"step must be at most {top}"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build_index(seqs, ZIGZAG32, **kwargs)
+        # the largest int64 still works: one window per parent, or none
+        assert build_index(seqs, ZIGZAG32, window=40, step=top).ids == ("s:0", "t:0")
+        with caplog.at_level(logging.WARNING), pytest.raises(ValueError, match="^nothing to index"):
+            build_index(seqs, ZIGZAG32, window=top)
+        assert len(caplog.records) == 2
+
     def test_build_with_window_equals_manual_slices(self):
         seqs = _random_sequences(3, 256, seed=8)
         idx = build_index(seqs, ZIGZAG32, window=64)
@@ -584,6 +600,20 @@ class TestSerialization:
         idx = HashIndex(strategy, ids, rng.integers(0, 2**32, size=n, dtype=np.uint32),
                         dnaphash.index._pad_rows(np.packbits(bits, axis=1)))
         assert index_bytes(idx) == self._record_by_record(idx)
+
+    @pytest.mark.parametrize("id_bytes", [1, 16, 100])
+    def test_layout_equals_record_by_record_across_id_runs(self, id_bytes, monkeypatch):
+        # the records are laid out one run of ids at a time; an id may outgrow a run
+        monkeypatch.setattr(dnaphash.sequence, "_ID_BYTES", id_bytes)
+        strategy = SelectionStrategy("zigzag", 12)
+        ids = ["a", "é" * 300, "b", "日本", "c:1", "x" * 40, "d"] + [f"r{i}" for i in range(50)]
+        rng = np.random.default_rng(id_bytes)
+        bits = rng.integers(0, 2, size=(len(ids), 12), dtype=np.uint8)
+        idx = HashIndex(strategy, ids, rng.integers(0, 2**32, size=len(ids), dtype=np.uint32),
+                        dnaphash.index._pad_rows(np.packbits(bits, axis=1)))
+        data = index_bytes(idx)
+        assert data == self._record_by_record(idx)
+        assert load_index(io.BytesIO(data)).ids == tuple(ids)
 
     @pytest.mark.parametrize("long_id", ["x" * 0x10000, "é" * 0x8000])
     def test_too_long_id_is_rejected(self, long_id):

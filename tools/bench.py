@@ -1,6 +1,6 @@
-"""Time the hash kernel, the Hamming scan or the ``index``/``query`` round trip, as JSON.
+"""Time the hash kernel, the Hamming scan, the ``index``/``query`` round trip or CLI runs, as JSON.
 
-    PYTHONPATH=src python3 tools/bench.py kernel|scan|query [-o BENCH_<suite>.json]
+    PYTHONPATH=src python3 tools/bench.py kernel|scan|query|cli [-o BENCH_<suite>.json]
 
 ``kernel``: for each record length of ``KERNEL_LENGTHS`` it times
 ``hash_codes`` of about ``KERNEL_BASES`` random bases as one (rows,
@@ -33,6 +33,15 @@ in a fresh process, whose peak RSS (``ru_maxrss``) the row reports in MB
 the CRC-32 of every byte before it), and each query's line count and the
 CRC-32 of its output, so two checkouts can be checked for the same files
 and output.
+
+``cli``: it writes ``READS`` seeded random reads of ``READ_LEN`` bp with
+ids ``readN`` to a temp directory and runs ``dnaphash hash --width 64
+--strategy block`` on them ``FRESH_RUNS`` times, each as ``python -m
+dnaphash`` in a fresh process. The row reports the median wall time
+(start-up included) and its range in seconds (``wall_s``, ``wall_range``),
+and the median peak RSS and its range in MB (``rss_mb``,
+``rss_range_mb``). One more run, in-process into a binary sink, gives
+the stdout's size and CRC-32.
 
 Every timing is the median seconds per call over at least ``MIN_SECONDS``
 and ``MIN_SAMPLES`` calls, so that it spans more than one of a shared
@@ -75,6 +84,9 @@ SUBSTITUTIONS = 50
 WINDOW = 1000
 STEPS = (100, 10)
 MAX_DIST = 8
+READS = 1_000_000
+READ_LEN = 100
+FRESH_RUNS = 5
 KERNEL_LENGTHS = (36, 64, 100, 150, 250, 400, 1000)
 KERNEL_BASES = 4_000_000
 PROBE_SHAPES = ((100, SelectionStrategy("block", 64)), (1000, SelectionStrategy("zigzag", 32)))
@@ -209,24 +221,34 @@ def _cli(argv: list[str], sink) -> None:
 # across exec), so the command is started from this small process and not
 # from the benchmark, which holds far more memory than the command.
 _SPAWNER = """
-import os, subprocess, sys
+import os, subprocess, sys, time
+start = time.perf_counter()
 proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, time.perf_counter() - start)
 """
 
 
-def _rss_mb(argv: list[str]) -> float:
-    """Peak RSS in MB of ``python -m dnaphash argv`` in a fresh process, on this package."""
+def _fresh(argv: list[str]) -> tuple[float, float]:
+    """Wall seconds and peak RSS in MB of ``python -m dnaphash argv`` in a fresh process,
+    on this package."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(dnaphash.__file__)))
     paths = [root, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [root]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     out = subprocess.run([sys.executable, "-c", _SPAWNER, sys.executable, "-m", "dnaphash", *argv],
                          env=env, stdout=subprocess.PIPE, text=True, check=True).stdout
-    code, maxrss_kb = map(int, out.split())
-    if code != 0:
+    code, maxrss_kb, wall = out.split()
+    if code != "0":
         raise RuntimeError(f"dnaphash {' '.join(argv)} exited {code}")
-    return maxrss_kb / 1024
+    return float(wall), int(maxrss_kb) / 1024
+
+
+def _stdout(argv: list[str]) -> bytes:
+    """The bytes ``cli.main(argv)`` writes to stdout, run in this process."""
+    sink = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    _cli(argv, sink)
+    sink.flush()
+    return sink.buffer.getvalue()
 
 
 def _load(path: str) -> None:
@@ -251,20 +273,46 @@ def query():
                    "index_crc32": f"{zlib.crc32(data[:-4]):08x}"}
             del data
             _time(row, "index", lambda i: _cli(build, null))
-            row["index_rss_mb"] = _rss_mb(build)
+            row["index_rss_mb"] = _fresh(build)[1]
             _time(row, "load_index", lambda i: _load(index))
             for mode, flag in (("topk", ["--top-k", str(TOP_K)]),
                                ("range", ["--max-dist", str(MAX_DIST)])):
                 argv = ["query", index, probes, *flag]
-                text = io.StringIO()
-                _cli(argv, text)
-                out = text.getvalue().encode("utf-8")
+                out = _stdout(argv)
                 row[f"{mode}_lines"] = out.count(b"\n")
                 row[f"{mode}_crc32"] = f"{zlib.crc32(out):08x}"
-                del text, out
+                del out
                 _time(row, mode, lambda i: _cli(argv, null))
-                row[f"{mode}_rss_mb"] = _rss_mb(argv)
+                row[f"{mode}_rss_mb"] = _fresh(argv)[1]
             yield row
+
+
+def _write_reads(directory: str) -> str:
+    """Write the seeded reads as FASTA; return the path."""
+    rng = np.random.default_rng(SEED)
+    path = os.path.join(directory, "reads.fa")
+    with open(path, "wb") as handle:
+        for start in range(0, READS, 1 << 16):
+            bases = _BASES[rng.integers(0, 4, size=(min(1 << 16, READS - start), READ_LEN),
+                                        dtype=np.uint8)]
+            handle.write(b"".join(b">read%d\n%s\n" % (start + i, row.tobytes())
+                                  for i, row in enumerate(bases)))
+    return path
+
+
+def cli_runs():
+    """Yield the ``hash`` row: wall time and peak RSS of fresh runs, and the stdout's CRC-32."""
+    with tempfile.TemporaryDirectory(prefix="bench-cli-") as directory:
+        argv = ["hash", _write_reads(directory), "--width", "64", "--strategy", "block"]
+        out = _stdout(argv)
+        row = {"command": "hash", "records": READS, "length": READ_LEN, "strategy": "block-64",
+               "stdout_bytes": len(out), "stdout_crc32": f"{zlib.crc32(out):08x}"}
+        del out
+        walls, peaks = zip(*(_fresh(argv) for _ in range(FRESH_RUNS)))
+        row.update(wall_s=statistics.median(walls), wall_samples=len(walls),
+                   wall_range=[min(walls), max(walls)], rss_mb=statistics.median(peaks),
+                   rss_range_mb=[min(peaks), max(peaks)])
+        yield row
 
 
 # Each suite, and the constants that size it.
@@ -273,6 +321,7 @@ SUITES = {
     "scan": (scan, ("ROWS", "WIDTHS", "PROBES", "TOP_K")),
     "query": (query, ("RECORDS", "RECORD_LEN", "PROBES", "SUBSTITUTIONS", "WINDOW", "STEPS",
                       "TOP_K", "MAX_DIST")),
+    "cli": (cli_runs, ("READS", "READ_LEN", "FRESH_RUNS")),
 }
 
 
