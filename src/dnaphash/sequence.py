@@ -309,19 +309,20 @@ def _batch_of_text(data: bytes, first_line: int, n_policy: str) -> tuple[_Batch,
     """The records in ``data`` (whole records, from a line start), and the next line number.
 
     Line ends become LF first (CRLF and a lone CR end a line, as in a text
-    file). A record takes the fast path when its header decodes and has an
+    file), and one scan finds them all; a header is a ``>`` that starts a
+    line. A record takes the fast path when its header decodes and has an
     id and its lines hold at least ``MIN_LENGTH`` bases and nothing but
-    A/C/G/T in either case: one ``bytes.translate`` checks and encodes it.
-    Every other record, and any text before a file's first header, goes
-    through :func:`_parse_lines` from its own line number, so it is kept,
-    skipped or raised exactly as :func:`read_fasta` would.
+    A/C/G/T in either case: one ``bytes.translate`` of its body checks and
+    encodes it. Every other record, and any text before a file's first
+    header, goes through :func:`_parse_lines` from its own line number, so
+    it is kept, skipped or raised exactly as :func:`read_fasta` would.
     """
     ids: list[str] = []
     lengths: list[int] = []
     codes: list[bytes] = []
 
-    def reparse(text: bytes, line: int) -> None:
-        lines = text.decode("utf-8", "surrogateescape").split("\n")
+    def reparse(start: int, end: int, line: int) -> None:
+        lines = data[start:end].decode("utf-8", "surrogateescape").split("\n")
         for seq in _parse_lines(lines, n_policy, line):
             ids.append(seq.id)
             lengths.append(len(seq))
@@ -333,26 +334,31 @@ def _batch_of_text(data: bytes, first_line: int, n_policy: str) -> tuple[_Batch,
 
     if b"\r" in data:  # from here on every line ends in LF, as in a text file
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    next_line = first_line + data.count(b"\n")
-    pieces = data.split(b"\n>")
-    if pieces[0][:1] == b">":
-        pieces[0] = pieces[0][1:]
-        offset = 1  # of the first piece in data
-    else:  # text before the first header
-        prefix = pieces.pop(0)
-        reparse(prefix, first_line)
-        if not pieces:
+    raw = np.frombuffer(data, np.uint8)
+    line_ends = np.flatnonzero(raw == 10)
+    next_line = first_line + len(line_ends)
+    # Line j is data[line_starts[j]:line_ends[j]] (the last may end at the end of
+    # data); a header is a line that starts with ">".
+    line_starts = np.append(0, line_ends + 1)
+    header_lines = np.flatnonzero(raw[line_starts[line_starts < len(data)]] == 62)
+    starts = line_starts[header_lines].tolist()
+    head_ends = np.append(line_ends, len(data))[header_lines].tolist()
+    lines = (first_line + header_lines).tolist()
+    del line_starts, line_ends  # an int64 per line each, not to be held while bodies are copied
+    if not starts or starts[0]:  # text before the first header
+        reparse(0, starts[0] if starts else len(data), first_line)
+        if not starts:
             return batch(), next_line
-        offset = len(prefix) + 2
-
-    split = [piece.partition(b"\n") for piece in pieces]
-    body_codes = [body.translate(_FASTA_TO_CODE, b"\n") for _, _, body in split]
-    body_lengths = np.fromiter(map(len, body_codes), np.int64, len(body_codes))
-    joined = b"".join(body_codes)
+    # Record i is data[starts[i]:ends[i]]; its header is line lines[i], ending at head_ends[i].
+    ends = starts[1:] + [len(data)]
+    bodies = [data[a + 1:b].translate(_FASTA_TO_CODE, b"\n") for a, b in zip(head_ends, ends)]
+    body_lengths = np.fromiter(map(len, bodies), np.int64, len(bodies))
+    joined = b"".join(bodies)
     try:
-        heads = b"\n".join([head for head, _, _ in split]).decode("utf-8").split("\n")
+        heads = b"\n".join([data[a + 1:b] for a, b in zip(starts, head_ends)]).decode("utf-8")
+        heads = heads.split("\n")
     except UnicodeDecodeError:  # no ids: every record is reparsed
-        heads = [""] * len(split)
+        heads = [""] * len(starts)
     names = [(head.split(None, 1) or ("",))[0] for head in heads]
 
     bad = set(np.flatnonzero(body_lengths < MIN_LENGTH).tolist())
@@ -367,19 +373,13 @@ def _batch_of_text(data: bytes, first_line: int, n_policy: str) -> tuple[_Batch,
 
     # Keep each run of fast records whole; reparse every other record alone,
     # from the line its header is on.
-    spans = np.fromiter(map(len, pieces), np.int64, len(pieces)) + 2  # with the "\n>" after
-    piece_at = (offset + np.cumsum(spans) - spans).tolist()
-    starts = [0] + np.cumsum(body_lengths).tolist()
-    done = counted = 0
-    line = first_line
-    for i in sorted(bad) + [len(pieces)]:
+    done = 0
+    for i in sorted(bad) + [len(starts)]:
         ids.extend(names[done:i])
         lengths.extend(body_lengths[done:i].tolist())
-        codes.append(joined[starts[done]:starts[i]])
-        if i < len(pieces):
-            line += data.count(b"\n", counted, piece_at[i])
-            counted = piece_at[i]
-            reparse(b">" + pieces[i], line)
+        codes.extend(bodies[done:i])
+        if i < len(starts):
+            reparse(starts[i], ends[i], lines[i])
         done = i + 1
     return batch(), next_line
 

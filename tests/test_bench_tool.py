@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import dnaphash.hashing
-from dnaphash import SelectionStrategy, cli, hash_codes, load_index
+from dnaphash import SelectionStrategy, cli, hash_codes, load_index, read_fasta
+from dnaphash.sequence import codes_from_bases
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
 
@@ -112,3 +113,36 @@ def test_cli(bench, tmp_path, capsys):
     out = capsys.readouterr().out.encode("utf-8")
     assert out.count(b"\n") == 2000 and out.startswith(b"read0\t")
     assert (row["stdout_bytes"], row["stdout_crc32"]) == (len(out), f"{zlib.crc32(out):08x}")
+
+
+def test_reader(bench, tmp_path, capsys, monkeypatch):
+    for name, value in {"LONG_RECORDS": 5, "LONG_LEN": 2000, "CHROMOSOMES": 2,
+                        "CHROMOSOME_LEN": 50_000}.items():
+        monkeypatch.setattr(bench, name, value)
+    rows = _run(bench, tmp_path, "reader")
+    assert len(capsys.readouterr().err.splitlines()) == 6
+    assert [(row["function"], row["input"], row["records"]) for row in rows[2:]] == [
+        ("_stream_fasta", "records", 5), ("_stream_fasta", "chromosome", 1),
+        ("hash", "chr1.fa", 1), ("hash", "chr2.fa", 2)]
+    for row in rows[:4]:
+        assert list(row) == ["function", "input", "n_policy", "bytes", "records", "ids_crc32",
+                             "lengths_crc32", "codes_crc32", "read_s", "read_samples",
+                             "mb_per_second"]
+    for row in rows[4:]:
+        assert list(row) == ["function", "input", "records", "bytes", "stdout_bytes",
+                             "stdout_crc32", "wall_s", "wall_samples", "wall_range", "rss_mb",
+                             "rss_range_mb"]
+        assert 10 < row["rss_range_mb"][0] <= row["rss_mb"] <= row["rss_range_mb"][1] < 500
+        assert row["stdout_bytes"] == row["records"] * len("chr0\t" + "0" * 16 + "\n")
+    # The CRC-32s of the reads are those of the records read_fasta gives on the same files.
+    for row, n_share in zip(rows[:2], (0.0, bench.N_SHARE)):
+        assert (row["function"], row["input"]) == ("_stream_fasta", "reads-n" if n_share else "reads")
+        path = bench._write_reads(str(tmp_path), n_share)
+        seqs = read_fasta(path, n_policy=row["n_policy"])
+        assert (row["n_policy"] == "skip-record") == bool(n_share)
+        assert 1900 < row["records"] == len(seqs) <= 2000
+        lengths = np.array([len(s) for s in seqs], dtype="<i8")
+        assert [row[f"{column}_crc32"] for column in ("ids", "lengths", "codes")] == [
+            f"{zlib.crc32(data):08x}" for data in ("".join(s.id for s in seqs).encode(), lengths,
+                                                   codes_from_bases("".join(s.bases for s in seqs)))]
+    assert rows[1]["records"] < 2000

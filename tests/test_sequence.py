@@ -346,23 +346,75 @@ def fasta_bytes(draw):
     return out if draw(st.booleans()) else out.rstrip(b"\r\n")
 
 
+def _agree(tmp_path, caplog, data, n_policy, block):
+    """The streamed reader, reading ``block`` bytes at a time, gives :func:`read_fasta`'s
+    records, error and warnings."""
+    path = tmp_path / "in.fa"
+    path.write_bytes(data)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="dnaphash.sequence"):
+        want = _outcome(lambda: _read(path, n_policy))
+    warned = [r.getMessage() for r in caplog.records]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="dnaphash.sequence"):
+        got = _outcome(lambda: _streamed(path, n_policy, block))
+    assert got == want
+    assert [r.getMessage() for r in caplog.records] == warned
+
+
+_CLEAN = b"".join(b">r%d\nACGTACGT\n" % i for i in range(20))  # 40 lines, 270 bytes
+_LONG = "".join(random.Random(7).choices("ACGTacgt", k=200))
+
+# Inputs at the edges of the streamed reader's blocks, lines and headers.
+BOUNDARY_CASES = {
+    "no final LF": b">a\nACGT\n>b\nACGTA",
+    "header as the last line": b">a\nACGT\n>b",
+    "header as the last line, with LF": b">a\nACGT\n>b\n",
+    "only a header": b">a",
+    "> inside a sequence line": b">a\nAC>GT\n>b\nACGT\n",
+    "> ending a sequence line": b">a\nACGT>\n>b\nACGT\n",
+    "indented header": b">a\nACGT\n  >b\nACGT\n",
+    "blank lines before the first header": b"\n\n  \n>a\nACGT\n",
+    "text before the first header": b"ACGT\n>a\nACGT\n",
+    "indented header before the first header": b" >a\nACGT\n>b\nACGT\n",
+    "CRLF": b">a x\r\nACGT\r\nAC\r\n\r\n>b\r\nGGGG\r\n",
+    "lone CR": b">a\rACGT\rAC\r>b\rACGTT\r",
+    "mixed line ends": b">a\r\nACGT\rAC\n>b\rAC\r\nGT",
+    "record longer than a block": (b">long x\n" + "\n".join(
+        _LONG[i:i + 7] for i in range(0, 200, 7)).encode() + b"\n>b\nACGT\n"),
+    "malformed header in a later block": _CLEAN + b">\nACGT\n" + _CLEAN,
+    "header not UTF-8 in a later block": _CLEAN + b">r\xff\nACGT\n",
+    "N record in a later block": _CLEAN + b">n\nACNT\n" + _CLEAN.replace(b">r", b">s"),
+    "short record in a later block": _CLEAN + b">t\nACG\n",
+    "empty record in a later block": _CLEAN + b">e\n\n>f\nACGT\n",
+    "NBSP in a header": ">a\u00a0b\nACGT\n".encode(),
+    "U+2003 in a header": ">\u2003a\u2003b\nACGT\n".encode(),
+    "FS (0x1c) in a header": b">a\x1cb\nACGT\n",
+    "NEL (U+0085) in a header": ">a\x85b\nACGT\n".encode(),
+    "tab-only header": b">\t\nACGT\n",
+    "trailing spaces": b">a\nACGT  \nAC \n",
+    "internal space": b">a\nAC GT\n",
+    "form feed": b">a\nACGT\f\n\fAC\n>b\nAC\fGT\n",
+    "FS (0x1c) in a sequence line": b">a\nACGT\x1c\n>b\nAC\x1cGT\n",
+    "NUL": b">a\nAC\x00GT\n",
+    "e acute": ">a\nACéGT\n>b\nACGT\n".encode(),
+    "lower case": b">a\nacgt\nACgt\n",
+}
+
+
 class TestStreamedReader:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=fasta_bytes(), block=st.integers(2, 48),
            n_policy=st.sampled_from(["reject", "skip-record"]))
     def test_agrees_with_read_fasta(self, tmp_path, caplog, data, block, n_policy):
-        path = tmp_path / "in.fa"
-        path.write_bytes(data)
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="dnaphash.sequence"):
-            want = _outcome(lambda: _read(path, n_policy))
-        warned = [r.getMessage() for r in caplog.records]
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="dnaphash.sequence"):
-            got = _outcome(lambda: _streamed(path, n_policy, block))
-        assert got == want
-        assert [r.getMessage() for r in caplog.records] == warned
+        _agree(tmp_path, caplog, data, n_policy, block)
+
+    @pytest.mark.parametrize("n_policy", ["reject", "skip-record"])
+    @pytest.mark.parametrize("block", [16, 64, dnaphash.sequence._BLOCK_BYTES])
+    @pytest.mark.parametrize("data", BOUNDARY_CASES.values(), ids=BOUNDARY_CASES)
+    def test_boundaries_agree_with_read_fasta(self, tmp_path, caplog, data, block, n_policy):
+        _agree(tmp_path, caplog, data, n_policy, block)
 
     def test_record_longer_than_a_block_spans_cuts(self, tmp_path):
         bases = "".join(random.Random(5).choices("ACGTacgt", k=3000))

@@ -1,6 +1,7 @@
-"""Time the hash kernel, the Hamming scan, the ``index``/``query`` round trip or CLI runs, as JSON.
+"""Time the hash kernel, the Hamming scan, the ``index``/``query`` round trip, CLI runs or the FASTA
+reader, as JSON.
 
-    PYTHONPATH=src python3 tools/bench.py kernel|scan|query|cli [-o BENCH_<suite>.json]
+    PYTHONPATH=src python3 tools/bench.py kernel|scan|query|cli|reader [-o BENCH_<suite>.json]
 
 ``kernel``: for each record length of ``KERNEL_LENGTHS`` it times
 ``hash_codes`` of about ``KERNEL_BASES`` random bases as one (rows,
@@ -43,6 +44,19 @@ and the median peak RSS and its range in MB (``rss_mb``,
 ``rss_range_mb``). One more run, in-process into a binary sink, gives
 the stdout's size and CRC-32.
 
+``reader``: it writes seeded FASTA to a temp directory: the ``cli``
+suite's reads, the same reads with an ``N`` in a share ``N_SHARE`` of them,
+``LONG_RECORDS`` records of ``LONG_LEN`` bp, and ``CHROMOSOMES`` records of
+``CHROMOSOME_LEN`` bp, the last two wrapped at ``WRAP`` columns. For each
+of the first three, and for the first chromosome alone, it times the
+streamed reader (``sequence._stream_fasta``) over the whole file, the reads
+with ``N`` under ``skip-record`` (with logging off) and the rest under
+``reject``, and reports MB/s, the record count, and the CRC-32s of the ids'
+bytes, of the lengths (int64) and of the codes. Then it runs ``dnaphash
+hash`` of one and of all the chromosomes ``FRESH_RUNS`` times each, as the
+``cli`` suite does, and reports the wall time, the peak RSS and the
+stdout's size and CRC-32.
+
 Every timing is the median seconds per call over at least ``MIN_SECONDS``
 and ``MIN_SAMPLES`` calls, so that it spans more than one of a shared
 host's slow spells. The package comes from whichever ``dnaphash`` is first
@@ -55,6 +69,7 @@ import argparse
 import contextlib
 import io
 import json
+import logging
 import os
 import platform
 import statistics
@@ -70,6 +85,7 @@ import dnaphash
 from dnaphash import (PerceptualHash, SelectionStrategy, Sequence, cli, compute_hash, hash_codes,
                       load_index)
 from dnaphash.index import HashIndex, _distances, query_topk
+from dnaphash.sequence import _stream_fasta
 
 SEED = 0
 MIN_SECONDS = 2.0
@@ -87,6 +103,12 @@ MAX_DIST = 8
 READS = 1_000_000
 READ_LEN = 100
 FRESH_RUNS = 5
+N_SHARE = 0.01
+LONG_RECORDS = 900
+LONG_LEN = 10_000
+CHROMOSOMES = 4
+CHROMOSOME_LEN = 10_000_000
+WRAP = 80
 KERNEL_LENGTHS = (36, 64, 100, 150, 250, 400, 1000)
 KERNEL_BASES = 4_000_000
 PROBE_SHAPES = ((100, SelectionStrategy("block", 64)), (1000, SelectionStrategy("zigzag", 32)))
@@ -201,12 +223,20 @@ def _write_inputs(rng: np.random.Generator, directory: str) -> tuple[str, str]:
         probes.append(probe)
     paths = []
     for name, prefix, seqs in (("records.fa", b"chr", records), ("probes.fa", b"q", probes)):
-        path = os.path.join(directory, name)
-        with open(path, "wb") as handle:
-            for i, codes in enumerate(seqs):
-                handle.write(b">%s%d\n%s\n" % (prefix, i, _BASES[codes].tobytes()))
-        paths.append(path)
+        paths.append(os.path.join(directory, name))
+        _write_fasta(paths[-1], prefix, seqs)
     return paths[0], paths[1]
+
+
+def _write_fasta(path: str, prefix: bytes, records, wrap: int | None = None) -> None:
+    """Write records of base codes as FASTA with ids ``<prefix>N``, ``wrap`` bases a line
+    (all of a record's bases on one line if None)."""
+    with open(path, "wb") as handle:
+        for i, codes in enumerate(records):
+            text = _BASES[codes].tobytes()
+            step = wrap or len(text)
+            lines = b"\n".join(text[at:at + step] for at in range(0, len(text), step))
+            handle.write(b">%s%d\n%s\n" % (prefix, i, lines))
 
 
 def _cli(argv: list[str], sink) -> None:
@@ -287,14 +317,18 @@ def query():
             yield row
 
 
-def _write_reads(directory: str) -> str:
-    """Write the seeded reads as FASTA; return the path."""
-    rng = np.random.default_rng(SEED)
-    path = os.path.join(directory, "reads.fa")
+def _write_reads(directory: str, n_share: float = 0.0) -> str:
+    """Write the seeded reads as FASTA, with an ``N`` at a random base of a share
+    ``n_share`` of them; return the path."""
+    rng, marks = np.random.default_rng(SEED), np.random.default_rng([SEED, 1])
+    path = os.path.join(directory, "reads-n.fa" if n_share else "reads.fa")
     with open(path, "wb") as handle:
         for start in range(0, READS, 1 << 16):
             bases = _BASES[rng.integers(0, 4, size=(min(1 << 16, READS - start), READ_LEN),
                                         dtype=np.uint8)]
+            if n_share:
+                rows = np.flatnonzero(marks.random(len(bases)) < n_share)
+                bases[rows, marks.integers(0, READ_LEN, size=len(rows))] = ord("N")
             handle.write(b"".join(b">read%d\n%s\n" % (start + i, row.tobytes())
                                   for i, row in enumerate(bases)))
     return path
@@ -308,11 +342,71 @@ def cli_runs():
         row = {"command": "hash", "records": READS, "length": READ_LEN, "strategy": "block-64",
                "stdout_bytes": len(out), "stdout_crc32": f"{zlib.crc32(out):08x}"}
         del out
-        walls, peaks = zip(*(_fresh(argv) for _ in range(FRESH_RUNS)))
-        row.update(wall_s=statistics.median(walls), wall_samples=len(walls),
-                   wall_range=[min(walls), max(walls)], rss_mb=statistics.median(peaks),
-                   rss_range_mb=[min(peaks), max(peaks)])
+        row.update(_fresh_runs(argv))
         yield row
+
+
+def _fresh_runs(argv: list[str]) -> dict:
+    """The median wall time and peak RSS of ``FRESH_RUNS`` fresh runs of ``argv``, and their ranges."""
+    walls, peaks = zip(*(_fresh(argv) for _ in range(FRESH_RUNS)))
+    return {"wall_s": statistics.median(walls), "wall_samples": len(walls),
+            "wall_range": [min(walls), max(walls)], "rss_mb": statistics.median(peaks),
+            "rss_range_mb": [min(peaks), max(peaks)]}
+
+
+def _read(path: str, n_policy: str) -> int:
+    """Stream ``path`` through the reader; return its record count."""
+    with open(path, "rb") as handle:
+        return sum(len(batch.ids) for batch in _stream_fasta(handle, n_policy=n_policy))
+
+
+def _read_crcs(path: str, n_policy: str) -> list[int]:
+    """The CRC-32s of the ids' bytes, the lengths (int64) and the codes the reader streams."""
+    crcs = [0, 0, 0]
+    with open(path, "rb") as handle:
+        for batch in _stream_fasta(handle, n_policy=n_policy):
+            columns = (batch.ids.data, batch.lengths.astype("<i8"), batch.codes)
+            crcs = [zlib.crc32(column, crc) for column, crc in zip(columns, crcs)]
+    return crcs
+
+
+def reader():
+    """Yield a row per input of the streamed reader, then a row per fresh ``hash`` of chromosomes."""
+    with tempfile.TemporaryDirectory(prefix="bench-reader-") as directory:
+        rng = np.random.default_rng([SEED, 2])
+        records = os.path.join(directory, "records.fa")
+        _write_fasta(records, b"rec", (rng.integers(0, 4, size=LONG_LEN, dtype=np.uint8)
+                                       for _ in range(LONG_RECORDS)), WRAP)
+        chromosomes = []
+        for n in sorted({1, CHROMOSOMES}):
+            chromosomes.append(os.path.join(directory, f"chr{n}.fa"))
+            rng = np.random.default_rng([SEED, 3])  # the same first chromosome in each file
+            _write_fasta(chromosomes[-1], b"chr", (
+                rng.integers(0, 4, size=CHROMOSOME_LEN, dtype=np.uint8) for _ in range(n)), WRAP)
+        inputs = (("reads", _write_reads(directory), "reject"),
+                  ("reads-n", _write_reads(directory, N_SHARE), "skip-record"),
+                  ("records", records, "reject"), ("chromosome", chromosomes[0], "reject"))
+        logging.disable(logging.WARNING)  # one warning per skipped read
+        try:
+            for name, path, n_policy in inputs:
+                size = os.path.getsize(path)
+                row = {"function": "_stream_fasta", "input": name, "n_policy": n_policy,
+                       "bytes": size, "records": _read(path, n_policy)}
+                row.update((f"{column}_crc32", f"{crc:08x}") for column, crc in
+                           zip(("ids", "lengths", "codes"), _read_crcs(path, n_policy)))
+                _time(row, "read", lambda i: _read(path, n_policy))
+                row["mb_per_second"] = round(size / 1e6 / row["read_s"], 1)
+                yield row
+        finally:
+            logging.disable(logging.NOTSET)
+        for path in chromosomes:
+            argv = ["hash", path]
+            out = _stdout(argv)
+            row = {"function": "hash", "input": os.path.basename(path),
+                   "records": out.count(b"\n"), "bytes": os.path.getsize(path),
+                   "stdout_bytes": len(out), "stdout_crc32": f"{zlib.crc32(out):08x}"}
+            row.update(_fresh_runs(argv))
+            yield row
 
 
 # Each suite, and the constants that size it.
@@ -322,6 +416,8 @@ SUITES = {
     "query": (query, ("RECORDS", "RECORD_LEN", "PROBES", "SUBSTITUTIONS", "WINDOW", "STEPS",
                       "TOP_K", "MAX_DIST")),
     "cli": (cli_runs, ("READS", "READ_LEN", "FRESH_RUNS")),
+    "reader": (reader, ("READS", "READ_LEN", "N_SHARE", "LONG_RECORDS", "LONG_LEN", "CHROMOSOMES",
+                        "CHROMOSOME_LEN", "WRAP", "FRESH_RUNS")),
 }
 
 
