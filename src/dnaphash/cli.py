@@ -273,9 +273,8 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _add_strategy_flags(parser, *, default_width=64):
-    parser.add_argument("--width", type=int, default=default_width,
-                        help=f"hash width in bits (default {default_width})")
+def _add_strategy_flags(parser):
+    parser.add_argument("--width", type=int, default=64, help="hash width in bits (default 64)")
     parser.add_argument("--strategy", choices=STRATEGY_KINDS, default=None,
                         help="bit selection (default: block for square widths, else zigzag)")
 

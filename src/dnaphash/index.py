@@ -77,12 +77,15 @@ class HashIndex:
     before the cast), and every bit past the width must be zero.
 
     The ids are kept as one UTF-8 column; ``ids`` decodes it on first access.
+    ``_id_rank[i]`` is id i's place in Python ``str`` order, from the sort
+    that checks the ids for repeats; queries break distance ties with it.
     """
 
     strategy: SelectionStrategy
     source_len: np.ndarray  # uint32[N]
     hashes: np.ndarray  # uint8[N, 8 * ceil(nbytes / 8)]
     _ids: _Ids = field(repr=False)
+    _id_rank: np.ndarray = field(repr=False)  # the smallest unsigned type that holds N - 1
 
     def __init__(self, strategy: SelectionStrategy, ids: Iterable[str], source_len, hashes):
         # The package passes its ids as a column already; a lone surrogate fails to encode.
@@ -104,9 +107,12 @@ class HashIndex:
             )
         if not np.diff(ids.offsets).all():
             raise ValueError("record ids cannot be empty")
-        repeat = _first_repeat(ids)
+        order, repeat = _id_order(ids)
         if repeat >= 0:
             raise DuplicateId(f"duplicate record id {ids[repeat]!r}")
+        rank = np.empty(n, dtype=np.min_scalar_type(n - 1))
+        rank[order] = np.arange(n, dtype=rank.dtype)
+        object.__setattr__(self, "_id_rank", rank)
         pad_mask = (1 << (nbytes * 8 - self.width)) - 1
         if np.any(hashes[:, nbytes - 1] & pad_mask) or np.any(hashes[:, nbytes:]):
             raise ValueError("trailing padding bits must be zero")
@@ -141,18 +147,6 @@ class HashIndex:
         return tuple(self._ids)
 
     @cached_property
-    def _id_rank(self) -> np.ndarray:
-        """Each record's place among the ids in Python ``str`` order, as intp[N].
-
-        Computed on first use. Query results break distance ties with it.
-        Sorting an object array makes no Python ``int`` per record.
-        """
-        order = np.argsort(np.array(self.ids, dtype=object), kind="stable")
-        rank = np.empty(len(order), dtype=np.intp)
-        rank[order] = np.arange(len(order))
-        return rank
-
-    @cached_property
     def _columns(self) -> np.ndarray:
         """``hashes`` as read-only uint64[words, N]: row j holds word j of every record.
 
@@ -168,40 +162,42 @@ class HashIndex:
         return len(self._ids)
 
 
-def _first_repeat(ids: _Ids) -> int:
-    """The row of the first id, in input order, equal to an earlier one; -1 if none is.
+def _id_order(ids: _Ids) -> tuple[np.ndarray, int]:
+    """The rows sorted by their ids' UTF-8 bytes, which is Python ``str`` order, and the
+    first row, in input order, whose id equals an earlier one (-1 if none does).
 
-    Each id gets a 64-bit key, the wrapping sum of a mix of each of its
-    (position, byte) pairs, so equal ids get equal keys. Only the ids whose
-    keys repeat are compared as bytes, in input order. The ids must be non-empty.
+    An id's key is its first ``width`` bytes, zero-padded: ``width`` is the longest id,
+    or 4 · mean + 1 bytes if that is less, so the keys stay within a few times the id
+    column. Rows sort by key, then by length ("a" before "a\\x00", whose keys are equal);
+    ids longer than ``width`` that share a key sort again as bytes. Equal ids end up
+    neighbours, in input order. The ids must be non-empty.
     """
     n, offsets = len(ids), ids.offsets
     if n < 2:
-        return -1
-    data = np.frombuffer(ids.data, dtype=np.uint8)
-    keys = np.empty(n, dtype=np.uint64)
+        return np.arange(n), -1
+    lengths = np.diff(offsets)
+    width = int(min(lengths.max(), 4 * offsets[-1] // n + 1))
+    keys = np.zeros(n, dtype=f"S{width}")
+    cells, data = keys.view(np.uint8).reshape(n, width), np.frombuffer(ids.data, dtype=np.uint8)
     for a, b in _id_runs(offsets):
-        starts, lengths = offsets[a:b] - offsets[a], np.diff(offsets[a:b + 1])
-        x = np.arange(offsets[b] - offsets[a], dtype=np.int64)
-        x -= np.repeat(starts, lengths)  # each byte's position in its id
-        x <<= 8
-        x |= data[offsets[a]:offsets[b]]
-        x = x.view(np.uint64)
-        x += np.uint64(0x9E3779B97F4A7C15)  # then splitmix64's mix, in place
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-        keys[a:b] = np.add.reduceat(x, starts)
-    ordered = np.sort(keys)
-    seen = set()
-    for row in np.flatnonzero(np.isin(keys, ordered[1:][ordered[1:] == ordered[:-1]])).tolist():
-        value = ids.data[offsets[row]:offsets[row + 1]]
-        if value in seen:
-            return row
-        seen.add(value)
-    return -1
+        kept, run = np.minimum(lengths[a:b], width), data[offsets[a]:offsets[b]]
+        if kept.sum() < len(run):  # some ids are cut to the width
+            run = run[_id_mask(kept, 0, lengths[a:b] - kept)]
+        cells[a:b][np.arange(width) < kept[:, None]] = run
+    order = np.lexsort((lengths, keys))
+    keys = keys[order]  # one gather at a time, to hold one column twice at most
+    same = keys[1:] == keys[:-1]
+    del keys
+    lengths = lengths[order]
+    long = lengths > width
+    # Neighbours that share a key are equal if they have one length, up to the width.
+    repeats = order[1:][same & (lengths[1:] == lengths[:-1]) & ~long[1:]].tolist()
+    tied = same & long[1:] & long[:-1]  # neighbours past the width that share a key
+    for s, e in np.flatnonzero(np.diff(tied, prepend=False, append=False)).reshape(-1, 2).tolist():
+        group = sorted((ids.data[offsets[r]:offsets[r + 1]], r) for r in order[s:e + 1].tolist())
+        order[s:e + 1] = [r for _, r in group]
+        repeats += [r for (v, _), (w, r) in zip(group, group[1:]) if v == w]
+    return order, min(repeats, default=-1)
 
 
 def build_index(
@@ -389,10 +385,12 @@ def index_bytes(index: HashIndex) -> bytes:
     if count and id_len.max() > 0xFFFF:
         rid = index._ids[int(np.argmax(id_len > 0xFFFF))]
         raise ValueError(f"record id {rid[:32]!r}... is too long to serialize")
-    records = _records(
-        id_len.astype("<u2").view(np.uint8).reshape(-1, _ID_LEN.size), index._ids,
-        np.hstack([index.source_len.astype("<u4").view(np.uint8).reshape(-1, _SOURCE_LEN.size),
-                   index.hashes[:, :nbytes]]))
+    head = id_len.astype("<u2").view(np.uint8).reshape(-1, _ID_LEN.size)
+    del id_len  # before the record blocks and the file image are made
+    records = _records(head, index._ids, np.hstack([
+        index.source_len.astype("<u4").view(np.uint8).reshape(-1, _SOURCE_LEN.size),
+        index.hashes[:, :nbytes]]))
+    del head
     crc = zlib.crc32(records, zlib.crc32(header))
     return b"".join([header, records, _CRC.pack(crc)])
 
@@ -415,8 +413,9 @@ def _records(head: np.ndarray, ids: _Ids, tail: np.ndarray) -> np.ndarray:
     return out
 
 
-def _id_mask(id_len: np.ndarray, before: int, after: int) -> np.ndarray:
-    """Which bytes of records of ``before`` bytes, an id and ``after`` bytes are id bytes."""
+def _id_mask(id_len: np.ndarray, before, after) -> np.ndarray:
+    """Which bytes of records of ``before`` bytes, an id and ``after`` bytes are id bytes;
+    ``before`` and ``after`` are one count for every record or one count per record."""
     spans = np.column_stack([np.full(len(id_len), before), id_len, np.full(len(id_len), after)])
     return np.repeat(np.tile([False, True, False], len(id_len)), spans.ravel())
 
@@ -491,11 +490,12 @@ def load_index(source: BinaryIO) -> HashIndex:
         inside = True
     if inside:
         raise IndexFormatError("record id is not valid UTF-8")
-    del id_bytes
     tails = records[~is_id].reshape(count, fixed)
-    source_len = tails[:, _ID_LEN.size:_ID_LEN.size + _SOURCE_LEN.size].view("<u4").reshape(-1)
+    del data, records, is_id, id_bytes, id_len  # so that the id sort runs beside none of them
+    source_len = tails[:, _ID_LEN.size:_ID_LEN.size + _SOURCE_LEN.size].copy().view("<u4")[:, 0]
+    hashes = _pad_rows(tails[:, _ID_LEN.size + _SOURCE_LEN.size:])
+    del tails
     try:
-        return HashIndex(strategy, _Ids(blob, np.append(starts, len(blob))), source_len,
-                         _pad_rows(tails[:, _ID_LEN.size + _SOURCE_LEN.size:]))
+        return HashIndex(strategy, _Ids(blob, np.append(starts, len(blob))), source_len, hashes)
     except (ValueError, DuplicateId) as exc:
         raise IndexFormatError(f"index records are invalid: {exc}") from None

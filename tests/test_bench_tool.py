@@ -3,6 +3,7 @@
 import importlib.util
 import io
 import json
+import struct
 import zlib
 from pathlib import Path
 
@@ -146,3 +147,32 @@ def test_reader(bench, tmp_path, capsys, monkeypatch):
             f"{zlib.crc32(data):08x}" for data in ("".join(s.id for s in seqs).encode(), lengths,
                                                    codes_from_bases("".join(s.bases for s in seqs)))]
     assert rows[1]["records"] < 2000
+
+
+def test_ids(bench, tmp_path, capsys, monkeypatch):
+    for name, value in {"CHROMOSOME_LEN": 50_000, "SMALL_READS": 500}.items():
+        monkeypatch.setattr(bench, name, value)
+    rows = _run(bench, tmp_path, "ids")
+    assert len(capsys.readouterr().err.splitlines()) == 4
+    shapes = list(bench._id_shapes())
+    assert [(row["ids"], row["records"]) for row in rows] == [
+        (shape, len(names)) for shape, names in shapes]
+    assert [len(names) for _, names in shapes][1:] == [4901, 500, 2000]
+    assert all(rid.startswith(f"s{i}.") and 1 <= int(rid.split(".")[1]) <= 99
+               for i, rid in enumerate(shapes[2][1]))
+    for row, (_, names) in zip(rows, shapes):
+        assert list(row) == ["ids", "records", "id_bytes", "image_crc32", "topk_ids_crc32",
+                             "init_s", "init_samples", "load_topk_s", "load_topk_samples"]
+        assert row["id_bytes"] == len("".join(names).encode("utf-8"))
+        # The top-k CRC-32 is that of the brute-force ranking: distance, then id.
+        rng = np.random.default_rng([bench.SEED, 5])
+        hashes = bench._random_rows(rng, len(names), 32)[:, :4]
+        probe = bench._random_rows(rng, bench.PROBES, 32)[0, :4]
+        body = struct.pack("<4sHHBBQ", b"DPH1", 1, 32, 1, 0, len(names)) + b"".join(
+            struct.pack("<H", len(rid.encode())) + rid.encode() + bytes(4) + h.tobytes()
+            for rid, h in zip(names, hashes))  # the v1 image, field by field
+        assert row["image_crc32"] == f"{zlib.crc32(body):08x}"
+        dist = np.bitwise_count(hashes ^ probe).sum(axis=1).tolist()
+        top = sorted(range(len(names)), key=lambda i: (dist[i], names[i]))[:bench.TOP_K]
+        want = "".join(f"{names[i]}\n" for i in top).encode("utf-8")
+        assert row["topk_ids_crc32"] == f"{zlib.crc32(want):08x}"

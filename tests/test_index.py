@@ -221,10 +221,17 @@ class TestIdColumn:
         long_id = "L" * 0xFFFF
         ids = [f"s{i}" for i in range(1000)] + [long_id] + [f"t{i}" for i in range(1000)]
         data = _v1_file([rid.encode() for rid in ids])
+        # ids of 0xFFFF bytes that share a 65,000-byte prefix, so that their sort keys tie
+        tied = [rid for rid in ids if rid != long_id] + ["P" * 65_000 + c * 535 for c in "zA\x00b"]
+        zero = PerceptualHash.from_bits([0] * 8, SelectionStrategy("zigzag", 8))
         tracemalloc.start()
         try:
             assert len(self._from_strs(ids)) == 2001
             assert load_index(io.BytesIO(data)).ids[1000] == long_id
+            idx = self._from_strs(tied)  # every hash is zero, so every id ties
+            want = [(rid, 0) for rid in sorted(tied)]
+            assert query_topk(idx, zero, len(tied)) == want and query(idx, zero, 0) == want
+            del idx, want
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -234,6 +241,21 @@ class TestIdColumn:
         with pytest.raises(DuplicateId):
             self._from_strs([long_id[:-1] + "M", long_id, "x", long_id])
         assert len(self._from_strs([long_id[:-1] + "M", long_id])) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_id_order_is_str_order_and_finds_the_first_repeat(self, data):
+        # Beside 20 short ids, up to 4 ids of 1000-character prefixes outrun the key
+        # width, so that two of them sharing a prefix are sorted as bytes.
+        short = st.lists(st.text("ab\x00é😀", min_size=1, max_size=4), min_size=20, max_size=30)
+        long = st.lists(st.builds(lambda c, tail: c * 1000 + tail, st.sampled_from("pé"),
+                                  st.text("ab\x00é", max_size=3)), max_size=4)
+        ids = data.draw(short, label="short") + data.draw(long, label="long")
+        ids = data.draw(st.permutations(ids + data.draw(st.lists(st.sampled_from(ids),
+                                                                 max_size=3))), label="ids")
+        order, repeat = dnaphash.index._id_order(_Ids.of(ids))
+        assert order.tolist() == sorted(range(len(ids)), key=ids.__getitem__)
+        assert repeat == next((i for i, rid in enumerate(ids) if rid in ids[:i]), -1)
 
     def test_lone_surrogate_fails_when_the_index_is_built(self):
         with pytest.raises(ValueError):
@@ -476,9 +498,10 @@ class TestTopK:
 
     @pytest.mark.parametrize("n", [3, 40, 1000])
     def test_all_tied_index_orders_by_python_str_order(self, n):
-        # "s10" < "s9", code-point (not UTF-16) order above U+FFFF, and a
-        # trailing NUL that a numpy U array would drop
-        odd = ["s9", "s10", "s1", "é", "ß", "日本", "\uff5e", "\U0001f600", "a", "a\x00"]
+        # "s10" < "s9", code-point (not UTF-16) order above U+FFFF, a trailing
+        # NUL that a numpy U array would drop, and an inner NUL
+        odd = ["s9", "s10", "s1", "é", "ß", "日本", "\uff5e", "\U0001f600", "a", "a\x00",
+               "a\x00b"]
         ids = (odd + [f"s{i}" for i in range(11, n + 11)])[:n]
         h = PerceptualHash.from_bits([1] + [0] * 31, ZIGZAG32)
         idx = _index_of(ZIGZAG32, [(rid, h) for rid in reversed(ids)])
@@ -789,8 +812,8 @@ def _index_and_probe(draw):
     pool = draw(st.lists(bits, min_size=1, max_size=4))
     n = draw(st.integers(1, 40))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
-    ids = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3), min_size=n, max_size=n,
-                        unique=True))
+    ids = draw(st.lists(st.text("abcxyz\x00é😀", min_size=1, max_size=3), min_size=n,
+                        max_size=n, unique=True))
     hashes = [PerceptualHash.from_bits(pool[p], strat, source_len=int(p) * 7) for p in picks]
     probe = PerceptualHash.from_bits(draw(st.one_of(st.sampled_from(pool), bits)), strat)
     return _index_of(strat, zip(ids, hashes)), probe

@@ -1,7 +1,7 @@
-"""Time the hash kernel, the Hamming scan, the ``index``/``query`` round trip, CLI runs or the FASTA
-reader, as JSON.
+"""Time the hash kernel, the Hamming scan, the ``index``/``query`` round trip, CLI runs, the FASTA
+reader or the id checks of an index, as JSON.
 
-    PYTHONPATH=src python3 tools/bench.py kernel|scan|query|cli|reader [-o BENCH_<suite>.json]
+    PYTHONPATH=src python3 tools/bench.py kernel|scan|query|cli|reader|ids [-o BENCH_<suite>.json]
 
 ``kernel``: for each record length of ``KERNEL_LENGTHS`` it times
 ``hash_codes`` of about ``KERNEL_BASES`` random bases as one (rows,
@@ -57,6 +57,18 @@ hash`` of one and of all the chromosomes ``FRESH_RUNS`` times each, as the
 ``cli`` suite does, and reports the wall time, the peak RSS and the
 stdout's size and CRC-32.
 
+``ids``: for each of four seeded id shapes it times the ``HashIndex``
+constructor over random zigzag-32 hashes, given the ids as one column,
+and ``load_index`` of that index's v1 image from memory followed by one
+``query_topk`` with k = 10 of a random probe. The shapes are window ids
+``chrP:offset``: those of the ``query`` suite's records at step 100,
+about 24k, and the 999,901 of one ``CHROMOSOME_LEN`` record at step 10;
+and read ids: ``SMALL_READS`` ids ``sN.M`` (M random in 1..99, as
+perfbench names its reads) and ``READS`` ids ``readN``. Each row reports
+the CRC-32 of the image (its trailer) and of the first probe's top-k ids,
+one per line, so two checkouts can be checked for the same files and
+ranking.
+
 Every timing is the median seconds per call over at least ``MIN_SECONDS``
 and ``MIN_SAMPLES`` calls, so that it spans more than one of a shared
 host's slow spells. The package comes from whichever ``dnaphash`` is first
@@ -83,9 +95,9 @@ import numpy as np
 
 import dnaphash
 from dnaphash import (PerceptualHash, SelectionStrategy, Sequence, cli, compute_hash, hash_codes,
-                      load_index)
+                      index_bytes, load_index)
 from dnaphash.index import HashIndex, _distances, query_topk
-from dnaphash.sequence import _stream_fasta
+from dnaphash.sequence import _Ids, _stream_fasta
 
 SEED = 0
 MIN_SECONDS = 2.0
@@ -101,6 +113,7 @@ WINDOW = 1000
 STEPS = (100, 10)
 MAX_DIST = 8
 READS = 1_000_000
+SMALL_READS = 20_000
 READ_LEN = 100
 FRESH_RUNS = 5
 N_SHARE = 0.01
@@ -409,6 +422,43 @@ def reader():
             yield row
 
 
+def _id_shapes():
+    """Yield (shape, ids) for each id shape of the ``ids`` suite."""
+    rng = np.random.default_rng([SEED, 4])
+    sizes = rng.integers(RECORD_LEN - RECORD_LEN // 40, RECORD_LEN + RECORD_LEN // 40 + 1,
+                         size=RECORDS).tolist()  # as the query suite draws its records
+    yield "chrP:offset", [f"chr{p}:{offset}" for p, size in enumerate(sizes)
+                          for offset in range(0, size - WINDOW + 1, STEPS[0])]
+    yield "chrP:offset", [f"chr0:{offset}"
+                          for offset in range(0, CHROMOSOME_LEN - WINDOW + 1, STEPS[1])]
+    versions = rng.integers(1, 100, size=SMALL_READS).tolist()
+    yield "sN.M", [f"s{i}.{version}" for i, version in enumerate(versions)]
+    yield "readN", [f"read{i}" for i in range(READS)]
+
+
+def ids():
+    """Yield one row per id shape: the constructor's time, and that of a load plus one top-k."""
+    strategy = SelectionStrategy("zigzag", 32)
+    for shape, names in _id_shapes():
+        column = _Ids.of(names)
+        del names
+        n, rng = len(column), np.random.default_rng([SEED, 5])
+        source_len, hashes = np.zeros(n, dtype=np.uint32), _random_rows(rng, n, strategy.k)
+        probes = [PerceptualHash(p[:strategy.k // 8].tobytes(), strategy)
+                  for p in _random_rows(rng, PROBES, strategy.k)]
+        image = index_bytes(HashIndex(strategy, column, source_len, hashes))
+        top = query_topk(load_index(io.BytesIO(image)), probes[0], TOP_K)
+        top_ids = "".join(f"{rid}\n" for rid, _ in top).encode("utf-8")
+        row = {"ids": shape, "records": n, "id_bytes": len(column.data),
+               "image_crc32": f"{zlib.crc32(image[:-4]):08x}",
+               "topk_ids_crc32": f"{zlib.crc32(top_ids):08x}"}
+        _time(row, "init", lambda i: HashIndex(strategy, column, source_len, hashes))
+        _time(row, "load_topk",
+              lambda i: query_topk(load_index(io.BytesIO(image)), probes[i % PROBES], TOP_K))
+        del column, hashes, image
+        yield row
+
+
 # Each suite, and the constants that size it.
 SUITES = {
     "kernel": (kernel, ("KERNEL_LENGTHS", "KERNEL_BASES", "PROBES")),
@@ -418,6 +468,8 @@ SUITES = {
     "cli": (cli_runs, ("READS", "READ_LEN", "FRESH_RUNS")),
     "reader": (reader, ("READS", "READ_LEN", "N_SHARE", "LONG_RECORDS", "LONG_LEN", "CHROMOSOMES",
                         "CHROMOSOME_LEN", "WRAP", "FRESH_RUNS")),
+    "ids": (ids, ("RECORDS", "RECORD_LEN", "WINDOW", "STEPS", "CHROMOSOME_LEN", "SMALL_READS",
+                  "READS", "PROBES", "TOP_K")),
 }
 
 
