@@ -28,11 +28,11 @@ from .index import (
     HashIndex,
     _build,
     _check_k,
+    _file_pieces,
     _gather_ids,
     _nearest,
     _pad_rows,
     _records,
-    index_bytes,
     load_index,
 )
 from .sequence import _Batch, _stream_fasta
@@ -96,6 +96,8 @@ def _atomic_write(path: str | None, *, binary: bool = False):
     try:
         in_place = not stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
+        if not path:  # "" names no file, and a temp file for it would go to the parent of "."
+            raise
         in_place = False
     if in_place:
         with (open(path, "wb") if binary
@@ -155,7 +157,7 @@ def cmd_hash(args) -> int:
     tail = np.hstack([edge * ord("\t"), hexes[:, :(strategy.k + 3) // 4], edge * ord("\n")])
     del hexes
     sys.stdout.flush()
-    sys.stdout.buffer.write(_records(edge[:, :0], ids, tail))  # no head: id, then tail
+    sys.stdout.buffer.writelines(_records(edge[:, :0], ids, tail))  # no head: id, then tail
     return EXIT_OK
 
 
@@ -166,12 +168,14 @@ def cmd_index(args) -> int:
                        step=args.step)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    pieces = _file_pieces(index)
     try:
-        data = index_bytes(index)
+        header = next(pieces)  # every id is checked before the output is opened
     except ValueError as exc:  # an id too long for the file format
         raise DataError(str(exc)) from None
     with _atomic_write(args.output, binary=True) as sink:
-        sink.write(data)
+        sink.write(header)
+        sink.writelines(pieces)
     log.info("indexed %d records into %s", len(index), args.output)
     return EXIT_OK
 

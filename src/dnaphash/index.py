@@ -288,9 +288,9 @@ def _window_ids(parents: _Ids, parent: np.ndarray, offsets: np.ndarray) -> _Ids:
     data = np.frombuffer(parents.data, dtype=np.uint8)
     for a, b in _id_runs(ends):
         part, z, d, e = out[ends[a]:ends[b]], size[a:b], digits[a:b], ends[a + 1:b + 1] - ends[a]
-        is_parent = np.repeat(np.tile([True, False], b - a), np.column_stack([z, 1 + d]).ravel())
         # byte t of window w's parent part is byte first[w] + t of the parents' data
-        part[is_parent] = data[np.arange(z.sum()) + np.repeat(first[a:b] - (np.cumsum(z) - z), z)]
+        at = np.arange(z.sum()) + np.repeat(first[a:b] - (np.cumsum(z) - z), z)
+        part[_id_mask(z, 0, 1 + d)] = data[at]
         part[e - d - 1] = ord(":")
         for k in range(int(d.max())):  # the kth digit from the right
             has = np.flatnonzero(d > k)
@@ -372,45 +372,41 @@ def query_topk(index: HashIndex, probe: PerceptualHash, k: int) -> list[tuple[st
 
 def index_bytes(index: HashIndex) -> bytes:
     """Serialize an index to its binary file format."""
+    return b"".join(_file_pieces(index))
+
+
+def _file_pieces(index: HashIndex) -> Iterator[bytes]:
+    """The v1 file of ``index`` as the header, each run of records and the CRC-32; a
+    ``ValueError`` for an id over 65,535 bytes comes before the header."""
     count, nbytes = len(index), (index.width + 7) // 8
-    header = _HEADER.pack(
-        MAGIC,
-        FORMAT_VERSION,
-        index.width,
-        STRATEGY_KINDS.index(index.strategy.kind),
-        0,
-        count,
-    )
     id_len = np.diff(index._ids.offsets)
     if count and id_len.max() > 0xFFFF:
         rid = index._ids[int(np.argmax(id_len > 0xFFFF))]
         raise ValueError(f"record id {rid[:32]!r}... is too long to serialize")
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, index.width,
+                          STRATEGY_KINDS.index(index.strategy.kind), 0, count)
+    yield header
+    crc = zlib.crc32(header)
     head = id_len.astype("<u2").view(np.uint8).reshape(-1, _ID_LEN.size)
-    del id_len  # before the record blocks and the file image are made
-    records = _records(head, index._ids, np.hstack([
-        index.source_len.astype("<u4").view(np.uint8).reshape(-1, _SOURCE_LEN.size),
-        index.hashes[:, :nbytes]]))
-    del head
-    crc = zlib.crc32(records, zlib.crc32(header))
-    return b"".join([header, records, _CRC.pack(crc)])
+    del id_len  # before the record blocks are made
+    for run in _records(head, index._ids, np.hstack([
+            index.source_len.astype("<u4").view(np.uint8).reshape(-1, _SOURCE_LEN.size),
+            index.hashes[:, :nbytes]])):
+        crc = zlib.crc32(run, crc)
+        yield run
+    yield _CRC.pack(crc)
 
 
-def _records(head: np.ndarray, ids: _Ids, tail: np.ndarray) -> np.ndarray:
-    """Records one after another as one uint8 array: record i is ``head[i]``, id i, ``tail[i]``.
-
-    ``head`` and ``tail`` are (N, a) and (N, b) uint8 blocks. The records are
-    laid out one run of ids (:func:`_id_runs`) at a time, so the layout's
-    temporaries stay bounded.
-    """
-    offsets, fixed = ids.offsets, head.shape[1] + tail.shape[1]
-    out = np.empty(len(ids.data) + len(ids) * fixed, dtype=np.uint8)
-    data = np.frombuffer(ids.data, dtype=np.uint8)
+def _records(head: np.ndarray, ids: _Ids, tail: np.ndarray) -> Iterator[bytes]:
+    """The records, one ``bytes`` per run of ids (:func:`_id_runs`), laid out and held one run
+    at a time: record i is ``head[i]``, id i, ``tail[i]``, of (N, a) and (N, b) uint8 blocks."""
+    offsets, data = ids.offsets, np.frombuffer(ids.data, dtype=np.uint8)
     for a, b in _id_runs(offsets):
         is_id = _id_mask(np.diff(offsets[a:b + 1]), head.shape[1], tail.shape[1])
-        part = out[offsets[a] + a * fixed:offsets[b] + b * fixed]
+        part = np.empty(len(is_id), dtype=np.uint8)
         part[is_id] = data[offsets[a]:offsets[b]]
         part[~is_id] = np.hstack([head[a:b], tail[a:b]]).ravel()
-    return out
+        yield part.tobytes()
 
 
 def _id_mask(id_len: np.ndarray, before, after) -> np.ndarray:
@@ -421,8 +417,10 @@ def _id_mask(id_len: np.ndarray, before, after) -> np.ndarray:
 
 
 def save_index(index: HashIndex, sink: BinaryIO) -> None:
-    """Write the binary format to an open binary file object."""
-    sink.write(index_bytes(index))
+    """Write the binary format to an open binary file object through its ``write`` alone,
+    one run of records at a time, so that the file is never held whole."""
+    for piece in _file_pieces(index):
+        sink.write(piece)
 
 
 def load_index(source: BinaryIO) -> HashIndex:

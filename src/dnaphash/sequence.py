@@ -297,12 +297,17 @@ class _Batch(NamedTuple):
     lengths: np.ndarray  # int64[N]
     codes: np.ndarray  # uint8
 
+    @classmethod
+    def consecutive(cls, ids: _Ids, lengths, codes: np.ndarray) -> _Batch:
+        """Records that follow one another in ``codes``, record i ``lengths[i]`` codes long."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        return cls(ids, np.cumsum(lengths) - lengths, lengths, codes)
+
 
 def _batch_of(seqs: list[Sequence]) -> _Batch:
     """One batch of validated sequences."""
-    lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
-    return _Batch(_Ids.of([s.id for s in seqs]), np.cumsum(lengths) - lengths, lengths,
-                  codes_from_bases("".join(s.bases for s in seqs)))
+    return _Batch.consecutive(_Ids.of([s.id for s in seqs]), list(map(len, seqs)),
+                              codes_from_bases("".join(s.bases for s in seqs)))
 
 
 def _batch_of_text(data: bytes, first_line: int, n_policy: str) -> tuple[_Batch, int]:
@@ -329,8 +334,7 @@ def _batch_of_text(data: bytes, first_line: int, n_policy: str) -> tuple[_Batch,
             codes.append(seq.bases.encode("ascii").translate(_FASTA_TO_CODE))
 
     def batch() -> _Batch:
-        n = np.array(lengths, dtype=np.int64)
-        return _Batch(_Ids.of(ids), np.cumsum(n) - n, n, np.frombuffer(b"".join(codes), np.uint8))
+        return _Batch.consecutive(_Ids.of(ids), lengths, np.frombuffer(b"".join(codes), np.uint8))
 
     if b"\r" in data:  # from here on every line ends in LF, as in a text file
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -368,8 +372,8 @@ def _batch_of_text(data: bytes, first_line: int, n_policy: str) -> tuple[_Batch,
     if not all(names):
         bad.update(i for i, name in enumerate(names) if not name)
     if not bad and not ids:
-        return _Batch(_Ids.of(names), np.cumsum(body_lengths) - body_lengths, body_lengths,
-                      np.frombuffer(joined, dtype=np.uint8)), next_line
+        return _Batch.consecutive(_Ids.of(names), body_lengths,
+                                  np.frombuffer(joined, dtype=np.uint8)), next_line
 
     # Keep each run of fast records whole; reparse every other record alone,
     # from the line its header is on.

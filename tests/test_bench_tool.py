@@ -99,21 +99,41 @@ def test_query(bench, tmp_path, capsys):
         assert row["topk_lines"] == bench.PROBES * bench.TOP_K
 
 
-def test_cli(bench, tmp_path, capsys):
+def test_cli(bench, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bench, "CHROMOSOME_LEN", 50_000)
     rows = _run(bench, tmp_path, "cli")
-    assert len(capsys.readouterr().err.splitlines()) == 1
-    (row,) = rows
+    assert len(capsys.readouterr().err.splitlines()) == 3
+    row, *index_rows = rows
     assert list(row) == ["command", "records", "length", "strategy", "stdout_bytes", "stdout_crc32",
                          "wall_s", "wall_samples", "wall_range", "rss_mb", "rss_range_mb"]
     assert (row["command"], row["records"], row["wall_samples"]) == ("hash", 2000, 3)
-    assert row["wall_range"][0] <= row["wall_s"] <= row["wall_range"][1]
-    assert 10 < row["rss_range_mb"][0] <= row["rss_mb"] <= row["rss_range_mb"][1] < 500
+    for each in rows:
+        assert each["wall_range"][0] <= each["wall_s"] <= each["wall_range"][1]
+        assert 10 < each["rss_range_mb"][0] <= each["rss_mb"] <= each["rss_range_mb"][1] < 500
     # The same reads and command, run here, print what the row describes.
     reads = bench._write_reads(str(tmp_path))
     assert cli.main(["hash", reads, "--width", "64", "--strategy", "block"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert out.count(b"\n") == 2000 and out.startswith(b"read0\t")
     assert (row["stdout_bytes"], row["stdout_crc32"]) == (len(out), f"{zlib.crc32(out):08x}")
+    # The same inputs and commands, run here, write the files the index rows describe.
+    chromosome = bench._write_chromosomes(str(tmp_path), 1)
+    assert [(r["input"], r["records"], r["length"], r["strategy"], r["window"], r["step"])
+            for r in index_rows] == [("reads", 2000, 100, "block-64", None, None),
+                                     ("chromosome", 4901, 50_000, "zigzag-32", 1000, 10)]
+    for row, argv in zip(index_rows, (
+            [reads, "--width", "64", "--strategy", "block"],
+            [chromosome, "--window", "1000", "--step", "10", "--width", "32", "--strategy",
+             "zigzag"])):
+        assert list(row) == ["command", "input", "records", "length", "strategy", "window", "step",
+                             "file_bytes", "file_crc32", "wall_s", "wall_samples", "wall_range",
+                             "rss_mb", "rss_range_mb"]
+        assert (row["command"], row["wall_samples"]) == ("index", 3)
+        path = tmp_path / "direct.dph"
+        assert cli.main(["index", *argv, "-o", str(path)]) == 0
+        data = path.read_bytes()
+        assert len(load_index(io.BytesIO(data))) == row["records"]
+        assert (row["file_bytes"], row["file_crc32"]) == (len(data), f"{zlib.crc32(data[:-4]):08x}")
 
 
 def test_reader(bench, tmp_path, capsys, monkeypatch):

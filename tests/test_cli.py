@@ -8,6 +8,7 @@ import stat
 import struct
 import subprocess
 import sys
+import tempfile
 import textwrap
 import threading
 import tracemalloc
@@ -271,7 +272,9 @@ class TestHashBytes:
         assert run_cli("hash", "--width", "4", "--n-policy", "skip-record", fa) == 0
         assert capsysbinary.readouterr().out == b""
 
-    def test_hash_decodes_no_id(self, tmp_path, monkeypatch, capsysbinary):
+    @pytest.mark.parametrize("id_bytes", [None, 1, 16])
+    def test_hash_decodes_no_id(self, id_bytes, tmp_path, monkeypatch, capsysbinary):
+        # runs of 1 or 16 bytes of ids write the lines in several runs
         records = [(name, "ACGTTGCA" * 4) for name in ODD_IDS]
         fa = write_utf8_fasta(tmp_path / "odd.fa", records)
 
@@ -279,6 +282,8 @@ class TestHashBytes:
             raise AssertionError("hash decoded ids")
 
         monkeypatch.setattr(dnaphash.sequence._Ids, "_decode", refuse)
+        if id_bytes is not None:
+            monkeypatch.setattr(dnaphash.sequence, "_ID_BYTES", id_bytes)
         assert run_cli("hash", "--width", "16", fa) == 0
         assert capsysbinary.readouterr().out == hash_oracle(records, SelectionStrategy("block", 16))
 
@@ -402,7 +407,12 @@ class TestIndexAndQuery:
     def test_overlong_id_is_a_data_error(self, parent, window, tmp_path, monkeypatch,
                                          capsysbinary):
         # An id may take at most 65,535 UTF-8 bytes; a 65,534-byte parent
-        # fits, but its windows 'parent:0' and 'parent:50' do not.
+        # fits, but its windows 'parent:0' and 'parent:50' do not. Every id
+        # is checked before the output is opened.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the output was opened")
+
+        monkeypatch.setattr(dnaphash.cli, "_atomic_write", refuse)
         monkeypatch.chdir(tmp_path)
         fa = write_fasta(tmp_path / "long-id.fa", [("x" * parent, "ACGT" * 25)])
         flags = ["--width", "16"] + (["--window", window] if window else [])
@@ -871,6 +881,42 @@ class TestAtomicWrites:
         err = capsys.readouterr().err
         assert f"No such file or directory: '{target}'" in err and ".dnaphash-" not in err
         assert os.listdir(tmp_path) == []
+
+    def test_index_failing_mid_write_leaves_nothing(self, tmp_path, small_fasta, monkeypatch,
+                                                    capsys):
+        # the file is written one run of records at a time; a failure after the
+        # first run leaves no file and no temp file
+        records = dnaphash.index._records
+
+        def fail_after_one(*args):
+            runs = records(*args)
+            yield next(runs)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(dnaphash.index, "_records", fail_after_one)
+        monkeypatch.setattr(dnaphash.sequence, "_ID_BYTES", 1)  # a run per id
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run_cli("index", small_fasta, "-o", str(out / "x.dph"), "--width", "16") == 3
+        assert capsys.readouterr().err == "dnaphash: i/o error: [Errno 28] No space left on device\n"
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", [["index", "in.fa", "--width", "16"],
+                                         ["simulate", "--group", "A", "-n", "10"]])
+    def test_empty_path_writes_nothing(self, command, tmp_path, monkeypatch, capsys):
+        # "" is no file, and no temp file is made for it: its directory would be
+        # the working directory's parent
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        write_fasta(sub / "in.fa", [("s1", "ACGT" * 4)])
+        monkeypatch.chdir(sub)
+        made, mkstemp = [], tempfile.mkstemp
+        monkeypatch.setattr(tempfile, "mkstemp", lambda **kw: made.append(kw) or mkstemp(**kw))
+        assert run_cli(*command, "-o", "") == 3
+        assert capsys.readouterr().err == (
+            "dnaphash: i/o error: [Errno 2] No such file or directory: ''\n")
+        assert made == []
+        assert os.listdir(tmp_path) == ["sub"] and os.listdir(sub) == ["in.fa"]
 
     def test_directory_target_names_the_path(self, tmp_path, small_fasta, capsys):
         target = tmp_path / "out"

@@ -4,7 +4,9 @@ import io
 import logging
 import math
 import struct
+import tracemalloc
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -637,6 +639,44 @@ class TestSerialization:
         data = index_bytes(idx)
         assert data == self._record_by_record(idx)
         assert load_index(io.BytesIO(data)).ids == tuple(ids)
+        # save_index writes the same bytes, one run at a time, into any sink with a write
+        into = io.BytesIO()
+        save_index(idx, into)
+        pieces = []
+        save_index(idx, SimpleNamespace(write=pieces.append))
+        assert into.getvalue() == b"".join(pieces) == data
+        assert len(pieces) > 3  # the header, two runs or more, the CRC-32
+
+    @pytest.mark.parametrize("shape", ["window", "read"])
+    def test_save_index_does_not_hold_the_file(self, shape):
+        # 200,000 window ids 'chr0:offset' at 32 bits, or read ids 'sN.M' at 64
+        n, rng = 200_000, np.random.default_rng(3)
+        if shape == "window":
+            strategy, ids = SelectionStrategy("zigzag", 32), [f"chr0:{10 * i}" for i in range(n)]
+        else:
+            strategy = SelectionStrategy("block", 64)
+            ids = [f"s{i}.{m}" for i, m in enumerate(rng.integers(1, 100, size=n).tolist())]
+        bits = rng.integers(0, 2, size=(n, strategy.k), dtype=np.uint8)
+        idx = HashIndex(strategy, ids, rng.integers(0, 2**32, size=n, dtype=np.uint32),
+                        dnaphash.index._pad_rows(np.packbits(bits, axis=1)))
+        del ids, bits
+        data = index_bytes(idx)
+        want = len(data), zlib.crc32(data)
+        del data
+        size = crc = 0
+
+        def write(piece):  # the sink keeps the size and CRC-32 of what it is given
+            nonlocal size, crc
+            size, crc = size + len(piece), zlib.crc32(piece, crc)
+
+        tracemalloc.start()
+        try:
+            save_index(idx, SimpleNamespace(write=write))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (size, crc) == want
+        assert peak < size  # the file held once would be this size
 
     @pytest.mark.parametrize("long_id", ["x" * 0x10000, "é" * 0x8000])
     def test_too_long_id_is_rejected(self, long_id):

@@ -42,7 +42,12 @@ dnaphash`` in a fresh process. The row reports the median wall time
 (start-up included) and its range in seconds (``wall_s``, ``wall_range``),
 and the median peak RSS and its range in MB (``rss_mb``,
 ``rss_range_mb``). One more run, in-process into a binary sink, gives
-the stdout's size and CRC-32.
+the stdout's size and CRC-32. Two ``index`` rows follow, each run the
+same way: ``index --width 64`` of the reads, and ``index --window WINDOW
+--step 10 --width 32 --strategy zigzag`` of one ``CHROMOSOME_LEN`` record
+(the ``reader`` suite's first chromosome, wrapped at ``WRAP`` columns).
+Each reports the file's record count, its size and the CRC-32 of every
+byte before its trailer.
 
 ``reader``: it writes seeded FASTA to a temp directory: the ``cli``
 suite's reads, the same reads with an ``N`` in a share ``N_SHARE`` of them,
@@ -96,7 +101,7 @@ import numpy as np
 import dnaphash
 from dnaphash import (PerceptualHash, SelectionStrategy, Sequence, cli, compute_hash, hash_codes,
                       index_bytes, load_index)
-from dnaphash.index import HashIndex, _distances, query_topk
+from dnaphash.index import _HEADER, HashIndex, _distances, query_topk
 from dnaphash.sequence import _Ids, _stream_fasta
 
 SEED = 0
@@ -348,15 +353,34 @@ def _write_reads(directory: str, n_share: float = 0.0) -> str:
 
 
 def cli_runs():
-    """Yield the ``hash`` row: wall time and peak RSS of fresh runs, and the stdout's CRC-32."""
+    """Yield the ``hash`` row, then the two ``index`` rows: wall time and peak RSS of fresh runs,
+    and the CRC-32 of the stdout or of the file."""
     with tempfile.TemporaryDirectory(prefix="bench-cli-") as directory:
-        argv = ["hash", _write_reads(directory), "--width", "64", "--strategy", "block"]
+        reads = _write_reads(directory)
+        argv = ["hash", reads, "--width", "64", "--strategy", "block"]
         out = _stdout(argv)
         row = {"command": "hash", "records": READS, "length": READ_LEN, "strategy": "block-64",
                "stdout_bytes": len(out), "stdout_crc32": f"{zlib.crc32(out):08x}"}
         del out
         row.update(_fresh_runs(argv))
         yield row
+        index = os.path.join(directory, "out.dph")
+        for name, path, length, kind, width, window, step in (
+                ("reads", reads, READ_LEN, "block", 64, None, None),
+                ("chromosome", _write_chromosomes(directory, 1), CHROMOSOME_LEN, "zigzag", 32,
+                 WINDOW, STEPS[1])):
+            argv = ["index", path, "-o", index, "--width", str(width), "--strategy", kind]
+            if window is not None:
+                argv += ["--window", str(window), "--step", str(step)]
+            fresh = _fresh_runs(argv)
+            with open(index, "rb") as handle:
+                data = handle.read()
+            row = {"command": "index", "input": name, "records": _HEADER.unpack_from(data)[-1],
+                   "length": length, "strategy": f"{kind}-{width}", "window": window,
+                   "step": step, "file_bytes": len(data),
+                   "file_crc32": f"{zlib.crc32(data[:-4]):08x}", **fresh}
+            del data
+            yield row
 
 
 def _fresh_runs(argv: list[str]) -> dict:
@@ -383,6 +407,16 @@ def _read_crcs(path: str, n_policy: str) -> list[int]:
     return crcs
 
 
+def _write_chromosomes(directory: str, n: int) -> str:
+    """Write ``n`` seeded records of ``CHROMOSOME_LEN`` bp as FASTA wrapped at ``WRAP`` columns;
+    return the path. Every file starts with the same first chromosome."""
+    path = os.path.join(directory, f"chr{n}.fa")
+    rng = np.random.default_rng([SEED, 3])
+    _write_fasta(path, b"chr", (rng.integers(0, 4, size=CHROMOSOME_LEN, dtype=np.uint8)
+                                for _ in range(n)), WRAP)
+    return path
+
+
 def reader():
     """Yield a row per input of the streamed reader, then a row per fresh ``hash`` of chromosomes."""
     with tempfile.TemporaryDirectory(prefix="bench-reader-") as directory:
@@ -390,12 +424,7 @@ def reader():
         records = os.path.join(directory, "records.fa")
         _write_fasta(records, b"rec", (rng.integers(0, 4, size=LONG_LEN, dtype=np.uint8)
                                        for _ in range(LONG_RECORDS)), WRAP)
-        chromosomes = []
-        for n in sorted({1, CHROMOSOMES}):
-            chromosomes.append(os.path.join(directory, f"chr{n}.fa"))
-            rng = np.random.default_rng([SEED, 3])  # the same first chromosome in each file
-            _write_fasta(chromosomes[-1], b"chr", (
-                rng.integers(0, 4, size=CHROMOSOME_LEN, dtype=np.uint8) for _ in range(n)), WRAP)
+        chromosomes = [_write_chromosomes(directory, n) for n in sorted({1, CHROMOSOMES})]
         inputs = (("reads", _write_reads(directory), "reject"),
                   ("reads-n", _write_reads(directory, N_SHARE), "skip-record"),
                   ("records", records, "reject"), ("chromosome", chromosomes[0], "reject"))
@@ -465,7 +494,8 @@ SUITES = {
     "scan": (scan, ("ROWS", "WIDTHS", "PROBES", "TOP_K")),
     "query": (query, ("RECORDS", "RECORD_LEN", "PROBES", "SUBSTITUTIONS", "WINDOW", "STEPS",
                       "TOP_K", "MAX_DIST")),
-    "cli": (cli_runs, ("READS", "READ_LEN", "FRESH_RUNS")),
+    "cli": (cli_runs, ("READS", "READ_LEN", "CHROMOSOME_LEN", "WRAP", "WINDOW", "STEPS",
+                       "FRESH_RUNS")),
     "reader": (reader, ("READS", "READ_LEN", "N_SHARE", "LONG_RECORDS", "LONG_LEN", "CHROMOSOMES",
                         "CHROMOSOME_LEN", "WRAP", "FRESH_RUNS")),
     "ids": (ids, ("RECORDS", "RECORD_LEN", "WINDOW", "STEPS", "CHROMOSOME_LEN", "SMALL_READS",
