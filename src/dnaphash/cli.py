@@ -152,12 +152,16 @@ def _batches(paths: list[str], n_policy: str) -> Iterator[_Batch]:
 def cmd_hash(args) -> int:
     strategy = _strategy(args)
     ids, rows, _ = _hash_batches(_batches(args.fasta, args.n_policy), strategy)
-    hexes = np.frombuffer(rows.data.hex().encode(), np.uint8).reshape(-1, 2 * rows.shape[1])
-    edge = np.ones((len(rows), 1), dtype=np.uint8)
-    tail = np.hstack([edge * ord("\t"), hexes[:, :(strategy.k + 3) // 4], edge * ord("\n")])
-    del hexes
+    digits = (strategy.k + 3) // 4
+
+    def tail(a: int, b: int) -> np.ndarray:  # "\t", the hex digits and "\n" of records a..b-1
+        hexes = np.frombuffer(rows[a:b].data.hex().encode(), np.uint8).reshape(b - a, -1)
+        block = np.empty((b - a, digits + 2), dtype=np.uint8)
+        block[:, 0], block[:, 1:-1], block[:, -1] = ord("\t"), hexes[:, :digits], ord("\n")
+        return block
+
     sys.stdout.flush()
-    sys.stdout.buffer.writelines(_records(edge[:, :0], ids, tail))  # no head: id, then tail
+    sys.stdout.buffer.writelines(_records(ids, 0, tail))  # no bytes before an id
     return EXIT_OK
 
 

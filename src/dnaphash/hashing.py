@@ -16,14 +16,17 @@ make the affected bits depend on the kernel and platform. Snapping them
 to zero applies the sign rule's zero branch the way exact arithmetic
 would. The band is safe on both sides: on constant square matrices, the
 noise of the kernel's matrix path in the cells of selections of up to 64
-bits stays below 7e-12 through dim 100 and below 2e-10 at the dims
-sampled through 3163 (10 Mbp); for selections of up to 4096 bits it
-stays below 8e-11 and 9e-10. Its product path (see :func:`_hash_rows`)
-stays below 1.5e-11 in every shape it takes. A batch of one row is one
-product: below 1.7e-12 on the product layout, and on the matrix layout
-below 7e-12 through dim 100 (64 bits) and 3.4e-11 (4096 bits) wherever
-the record fits one block of rows. The smallest genuinely nonzero
-coefficient observed for integer layouts is ~1e-4.
+bits stays below 7e-12 through dim 100 and below 3e-10 at the 15 dims
+sampled from 101 through 3163 (10 Mbp); for selections of up to 4096
+bits it stays below 8e-11 and 7e-10. Its product path (see
+:func:`_hash_rows`) stays below 1.5e-11 in every shape it takes (every
+dim, at k = 1, 16, 32, 64 and the widest k that fits). A batch of one
+row is one product: below 3.2e-11 on the product layout (the worst is k
+= 3 at dim 65), and on the matrix layout, wherever the record fits one
+block of rows, within the matrix path's bounds through dim 100. The
+``test_noise_*`` tests hold every cell of dims 8 to 34 below 1e-9 on
+both layouts, batched and one row at a time. The smallest genuinely
+nonzero coefficient observed for integer layouts is ~1e-4.
 """
 
 from __future__ import annotations
@@ -50,8 +53,15 @@ MAX_WIDTH = 4096
 #: the module docstring for why, and for the measured safety margins).
 ZERO_TOL = 1e-7
 
-#: Float cells (2 MiB) one :func:`hash_codes` chunk may hold: a fixed bound.
-_WORKSPACE_CELLS = 1 << 18
+#: Float cells (1 MiB) one :func:`hash_codes` chunk may hold: a fixed bound.
+#: A chunk's cells, products and OpenBLAS's packed panels then fit one
+#: core's 2 MiB L2. On a 2-core Xeon (medians of 7 alternating runs),
+#: 2^17 beat 2^18 on 4000 rows of 1000 bp at zigzag-32 (4.3 against 5.3
+#: ms), 400 rows of 10 kbp at block-64 (3.2 against 3.9 ms) and 19,901
+#: windows of 1000 bp at step 10 (20.5 against 25.4 ms; 329 against 389
+#: ms for 300k), and was within 2.5% of it on the product layout's rows
+#: (36 to 400 bp); 2^16 and 2^15 were slower than 2^17 on every shape.
+_WORKSPACE_CELLS = 1 << 17
 
 #: A record of L bases hashed to k bits whose L·k is at most this (200 bp
 #: at 64 bits, 400 bp at 32) hashes as one row of ``[codes, 1] @ W``
@@ -438,7 +448,9 @@ def _hash_batches(batches: Iterable[_Batch],
         del batch  # before the next read: a batch may hold one long record
     if misfit is not None:
         raise misfit
-    return _Ids.join(ids), np.concatenate(rows), np.concatenate(lengths)
+    ids = _Ids.join(ids)  # each column's parts go once it is joined, before the next is
+    rows = np.concatenate(rows)
+    return ids, rows, np.concatenate(lengths)
 
 
 def compute_hash(seq: Sequence, strategy: SelectionStrategy) -> PerceptualHash:

@@ -19,10 +19,11 @@ import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
+from . import sequence
 from .errors import (
     BadMagic,
     ChecksumMismatch,
@@ -170,12 +171,14 @@ def _id_order(ids: _Ids) -> tuple[np.ndarray, int]:
     or 4 · mean + 1 bytes if that is less, so the keys stay within a few times the id
     column. Rows sort by key, then by length ("a" before "a\\x00", whose keys are equal);
     ids longer than ``width`` that share a key sort again as bytes. Equal ids end up
-    neighbours, in input order. The ids must be non-empty.
+    neighbours, in input order. The ids must be non-empty. Beside the keys and the order,
+    the sort holds one small integer per id and a run of sorted keys at a time.
     """
     n, offsets = len(ids), ids.offsets
     if n < 2:
         return np.arange(n), -1
     lengths = np.diff(offsets)
+    lengths = lengths.astype(np.min_scalar_type(lengths.max()))  # a byte each below 256 bytes
     width = int(min(lengths.max(), 4 * offsets[-1] // n + 1))
     keys = np.zeros(n, dtype=f"S{width}")
     cells, data = keys.view(np.uint8).reshape(n, width), np.frombuffer(ids.data, dtype=np.uint8)
@@ -185,8 +188,11 @@ def _id_order(ids: _Ids) -> tuple[np.ndarray, int]:
             run = run[_id_mask(kept, 0, lengths[a:b] - kept)]
         cells[a:b][np.arange(width) < kept[:, None]] = run
     order = np.lexsort((lengths, keys))
-    keys = keys[order]  # one gather at a time, to hold one column twice at most
-    same = keys[1:] == keys[:-1]
+    same = np.empty(n - 1, dtype=bool)  # row i + 1 of the order has row i's key
+    step = max(1, sequence._ID_BYTES // width)
+    for a in range(0, n - 1, step):  # sorted keys a run at a time, never the whole column
+        run = keys[order[a:a + step + 1]]
+        same[a:a + step] = run[1:] == run[:-1]
     del keys
     lengths = lengths[order]
     long = lengths > width
@@ -254,18 +260,26 @@ def _build(batches: Iterable[_Batch], strategy: SelectionStrategy, *, window: in
 def _windows(batches: Iterable[_Batch], window: int, step: int) -> Iterator[_Batch]:
     """Each batch's windows, as spans of its codes with ids ``parent:offset``.
 
-    Parents shorter than the window are warned about once the last batch is
-    read: after the reader's warnings, and not at all if a record is bad.
+    The windows come in groups of at most ``sequence._BLOCK_BYTES // 8``, so
+    that no int64 column of a group outgrows one reader block, however long
+    a parent is; the groups share the batch's codes. Parents shorter than the
+    window are warned about once the last batch is read: after the reader's
+    warnings, and not at all if a record is bad.
     """
     short: list[tuple[str, int]] = []
+    group = max(1, sequence._BLOCK_BYTES // 8)
     for batch in batches:
         short.extend((batch.ids[i], int(batch.lengths[i]))
                      for i in np.flatnonzero(batch.lengths < window).tolist())
         counts = np.maximum((batch.lengths - window) // step + 1, 0)  # windows per parent
-        parent = np.repeat(np.arange(len(counts)), counts)
-        offsets = (np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)) * step
-        yield _Batch(_window_ids(batch.ids, parent, offsets),
-                     batch.starts[parent] + offsets, np.full(len(parent), window), batch.codes)
+        ends = np.cumsum(counts)  # window w of the batch is of the first parent whose end is past w
+        firsts, total = ends - counts, int(counts.sum())
+        for first in range(0, total, group):
+            w = np.arange(first, min(first + group, total))
+            parent = np.searchsorted(ends, w, side="right")
+            offsets = (w - firsts[parent]) * step
+            yield _Batch(_window_ids(batch.ids, parent, offsets),
+                         batch.starts[parent] + offsets, np.full(len(w), window), batch.codes)
         del batch  # before the next read: a batch may hold one long record
     for rid, length in short:
         log.warning("sequence %r (%d bp) is shorter than the %d bp window; skipped",
@@ -383,29 +397,36 @@ def _file_pieces(index: HashIndex) -> Iterator[bytes]:
     if count and id_len.max() > 0xFFFF:
         rid = index._ids[int(np.argmax(id_len > 0xFFFF))]
         raise ValueError(f"record id {rid[:32]!r}... is too long to serialize")
+    del id_len  # the runs take their ids' lengths from the offsets
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, index.width,
                           STRATEGY_KINDS.index(index.strategy.kind), 0, count)
     yield header
     crc = zlib.crc32(header)
-    head = id_len.astype("<u2").view(np.uint8).reshape(-1, _ID_LEN.size)
-    del id_len  # before the record blocks are made
-    for run in _records(head, index._ids, np.hstack([
-            index.source_len.astype("<u4").view(np.uint8).reshape(-1, _SOURCE_LEN.size),
-            index.hashes[:, :nbytes]])):
+    offsets = index._ids.offsets
+
+    def fields(a: int, b: int) -> np.ndarray:
+        return np.hstack([
+            np.diff(offsets[a:b + 1]).astype("<u2").view(np.uint8).reshape(-1, _ID_LEN.size),
+            index.source_len[a:b].astype("<u4").view(np.uint8).reshape(-1, _SOURCE_LEN.size),
+            index.hashes[a:b, :nbytes]])
+
+    for run in _records(index._ids, _ID_LEN.size, fields):
         crc = zlib.crc32(run, crc)
         yield run
     yield _CRC.pack(crc)
 
 
-def _records(head: np.ndarray, ids: _Ids, tail: np.ndarray) -> Iterator[bytes]:
-    """The records, one ``bytes`` per run of ids (:func:`_id_runs`), laid out and held one run
-    at a time: record i is ``head[i]``, id i, ``tail[i]``, of (N, a) and (N, b) uint8 blocks."""
+def _records(ids: _Ids, before: int, fields: Callable[[int, int], np.ndarray]) -> Iterator[bytes]:
+    """The records, one ``bytes`` per run ``[a, b)`` of ids (:func:`_id_runs`), laid out and
+    held one run at a time: ``fields(a, b)`` gives the run's fixed bytes as (b - a, n) uint8
+    rows, and record i is the first ``before`` bytes of its row, id i, then the rest."""
     offsets, data = ids.offsets, np.frombuffer(ids.data, dtype=np.uint8)
     for a, b in _id_runs(offsets):
-        is_id = _id_mask(np.diff(offsets[a:b + 1]), head.shape[1], tail.shape[1])
+        fixed = fields(a, b)
+        is_id = _id_mask(np.diff(offsets[a:b + 1]), before, fixed.shape[1] - before)
         part = np.empty(len(is_id), dtype=np.uint8)
         part[is_id] = data[offsets[a]:offsets[b]]
-        part[~is_id] = np.hstack([head[a:b], tail[a:b]]).ravel()
+        part[~is_id] = fixed.ravel()
         yield part.tobytes()
 
 

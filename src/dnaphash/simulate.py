@@ -33,6 +33,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
+from . import sequence
 from .errors import SequenceTooShort
 from .hashing import SelectionStrategy, hash_codes
 from .sequence import MIN_LENGTH, Sequence, bases_from_codes, codes_from_bases, matrix_dim
@@ -190,20 +191,16 @@ class DistanceHistogram:
         return float((row * np.arange(row.size)).sum() / row.sum())
 
 
-#: Base codes :func:`_simulate_chunk` draws and hashes at a time (1 MiB),
-#: unless one ordinal alone holds more.
-_BLOCK_CODES = 1 << 20
-
-
 def _simulate_chunk(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
     """Distances for ordinals [start, stop): a (stop-start, n_rates) array.
 
-    The ordinals are drawn and hashed a block of at most ``_BLOCK_CODES``
-    codes at a time.
+    The ordinals are drawn and hashed a block of at most
+    ``sequence._BLOCK_BYTES`` codes at a time, a reader block's worth, unless
+    one ordinal alone holds more.
     """
     rates = config.divergence_rates
     streams = len(rates) + 1  # primary first, then one variant per rate
-    block = max(1, _BLOCK_CODES // (streams * config.seq_len))
+    block = max(1, sequence._BLOCK_BYTES // (streams * config.seq_len))
     codes = np.empty((min(block, stop - start), streams, config.seq_len), dtype=np.uint8)
     distances = np.empty((stop - start, len(rates)), dtype=np.uint16)
     for first in range(start, stop, block):

@@ -46,26 +46,35 @@ def _run(bench, tmp_path, suite):
 
 
 def test_kernel(bench, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bench, "LONG_LEN", 5000)
     rows = _run(bench, tmp_path, "kernel")
     assert [(row["function"], row["length"], row["strategy"]) for row in rows] == [
         ("hash_codes", 36, "block-16"), ("hash_codes", 36, "zigzag-32"),
         ("hash_codes", 1000, "block-64"), ("hash_codes", 1000, "zigzag-32"),
+        ("hash_codes", 5000, "block-64"),
+        ("_hash_records", 1000, "zigzag-32"), ("_hash_records", 1000, "zigzag-32"),
         ("compute_hash", 100, "block-64"), ("compute_hash", 1000, "zigzag-32")]
-    assert len(capsys.readouterr().err.splitlines()) == 6
+    assert len(capsys.readouterr().err.splitlines()) == 9
     # Each CRC-32 is that of the same codes hashed through the matrix path.
     monkeypatch.setattr(dnaphash.hashing, "_GEMM_MAX_MACS", 0)
     for row in rows:
-        probes = row["function"] == "compute_hash"
-        assert list(row) == ["function", "length", "strategy", "rows", "crc32", "call_s",
-                             "call_samples", "hashes_per_second",
+        probes, windows = row["function"] == "compute_hash", row["function"] == "_hash_records"
+        assert list(row) == ["function", "length", "strategy", "rows", *(["step"] if windows else []),
+                             "crc32", "call_s", "call_samples", "hashes_per_second",
                              *(["call_after_idle_s", "call_after_idle_samples"] if probes else [])]
         if probes:  # each sample follows a 0.1 s sleep, which counts toward MIN_SECONDS
             assert row["call_after_idle_s"] > 0 and row["call_after_idle_samples"] == bench.MIN_SAMPLES
         kind, k = row["strategy"].split("-")
-        codes = bench._kernel_codes(bench.PROBES if probes else row["rows"], row["length"])
-        assert row["rows"] == (1 if probes else 20_000 // row["length"])
+        if windows:  # one 20 kbp parent's windows, stacked as rows
+            parent = bench._kernel_codes(1, 20_000)[0]
+            codes = np.stack([parent[at:at + 1000] for at in range(0, 19_001, row["step"])])
+            assert row["rows"] == len(codes) == 19_000 // row["step"] + 1
+        else:
+            codes = bench._kernel_codes(bench.PROBES if probes else row["rows"], row["length"])
+            assert row["rows"] == (1 if probes else 20_000 // row["length"])
         packed = hash_codes(codes, SelectionStrategy(kind, int(k)))
         assert row["crc32"] == f"{zlib.crc32(packed):08x}"
+    assert [row["step"] for row in rows if "step" in row] == [100, 10]
 
 
 def test_scan(bench, tmp_path, capsys):

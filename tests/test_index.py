@@ -259,6 +259,40 @@ class TestIdColumn:
         assert order.tolist() == sorted(range(len(ids)), key=ids.__getitem__)
         assert repeat == next((i for i, rid in enumerate(ids) if rid in ids[:i]), -1)
 
+    @pytest.mark.parametrize("rows", [1, 2, 4, None])
+    def test_id_order_compares_sorted_keys_a_run_at_a_time(self, rows, monkeypatch):
+        # Runs of one, two and four sorted keys, and the default; repeats and ids
+        # past the key width fall on run edges.
+        rng = np.random.default_rng(rows)
+        ids = [f"{c}{i}" for c in "ab" for i in range(40)] + ["a7", "b39", "a0"]
+        ids += ["p" * 50 + "y", "p" * 50 + "x", "p" * 50 + "y"]
+        ids = [ids[i] for i in rng.permutation(len(ids))]
+        column = _Ids.of(ids)
+        width = 4 * column.offsets[-1] // len(ids) + 1  # the key width: under the 51-byte ids
+        assert width < 51
+        if rows is not None:
+            monkeypatch.setattr(dnaphash.sequence, "_ID_BYTES", rows * width)
+        order, repeat = dnaphash.index._id_order(column)
+        assert order.tolist() == sorted(range(len(ids)), key=ids.__getitem__)
+        assert repeat == next(i for i, rid in enumerate(ids) if rid in ids[:i])
+
+    @pytest.mark.parametrize("shape", ["chr0:offset", "sN.M"])
+    def test_id_order_holds_the_keys_once(self, shape):
+        # Beside its order, the sort holds the keys and a byte or two per id; the
+        # sorted keys are compared a run at a time and never gathered whole.
+        n = 200_000
+        ids = _Ids.of([f"chr0:{10 * i}" if shape == "chr0:offset" else f"s{i}.{i * 7 % 99 + 1}"
+                       for i in range(n)])
+        width = int(min(np.diff(ids.offsets).max(), 4 * ids.offsets[-1] // n + 1))
+        tracemalloc.start()
+        try:
+            order, repeat = dnaphash.index._id_order(ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert repeat == -1 and len(order) == n
+        assert peak - order.nbytes < 2 * n * width  # the sorted keys held as well would be 3
+
     def test_lone_surrogate_fails_when_the_index_is_built(self):
         with pytest.raises(ValueError):
             self._from_strs(["a", "b\udc80"])
@@ -394,6 +428,103 @@ class TestWindows:
         seqs = [Sequence("a", "ACGT" * 10), Sequence("b", "ACGT" * 20)]
         with pytest.raises(ValueError, match="nothing to index"):
             build_index(seqs, ZIGZAG32, window=100, step=10)
+
+
+class TestGroupedWindows:
+    # A batch's windows come in groups of _BLOCK_BYTES // 8; patched block
+    # sizes give groups of 1, 2 and 7 windows, which must change no byte.
+    WINDOW = 40
+
+    def _parents(self, group, step):
+        """Parents of group - 1, group and group + 1 windows, a too-short parent between
+        them, and parents whose windows straddle group edges."""
+        counts = [group - 1, 0, group, group + 1, 0, 2 * group + 1, 1, 3]
+        rng = sequence_rng(group * 100 + step, 0)
+        seqs = []
+        for i, count in enumerate(counts):
+            # count windows, and a tail shorter than the step; no window at all if count is 0
+            length = self.WINDOW + (count - 1) * step + i % step if count else self.WINDOW - 1 - i
+            seqs.append(generate_sequence(length, rng, id=f"p{i}"))
+        return seqs, counts
+
+    @pytest.mark.parametrize("group", [1, 2, 7])
+    @pytest.mark.parametrize("step", [3, WINDOW, WINDOW + 3])
+    def test_groups_change_no_record_or_warning(self, group, step, monkeypatch, caplog):
+        seqs, counts = self._parents(group, step)
+        builds = {}
+        for name, block in (("default", dnaphash.sequence._BLOCK_BYTES), ("grouped", 8 * group)):
+            monkeypatch.setattr(dnaphash.sequence, "_BLOCK_BYTES", block)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                builds[name] = build_index(seqs, ZIGZAG32, window=self.WINDOW, step=step)
+            builds[name + " warnings"] = [r.getMessage() for r in caplog.records]
+            # the windows come in groups of at most `group` windows, in order
+            sizes = [len(g.ids) for g in dnaphash.index._windows(
+                [dnaphash.sequence._batch_of(seqs)], self.WINDOW, step)]
+            total = sum(counts)
+            if name == "grouped":
+                assert sizes == [min(group, total - at) for at in range(0, total, group)]
+            else:
+                assert sizes == [total]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            oracle = build_index(list(expand_windows(seqs, self.WINDOW, step)), ZIGZAG32)
+        oracle_warnings = [r.getMessage() for r in caplog.records]
+        grouped, default = builds["grouped"], builds["default"]
+        assert grouped.ids == default.ids == oracle.ids
+        assert len(grouped) == sum(counts)
+        assert np.array_equal(grouped.hashes, default.hashes)
+        assert np.array_equal(grouped.hashes, oracle.hashes)
+        assert grouped.source_len.tolist() == default.source_len.tolist() == oracle.source_len.tolist()
+        assert index_bytes(grouped) == index_bytes(default) == index_bytes(oracle)
+        short = [f"sequence 'p{i}' ({len(seqs[i])} bp) is shorter than the {self.WINDOW} bp "
+                 "window; skipped" for i, count in enumerate(counts) if not count]
+        assert builds["grouped warnings"] == builds["default warnings"] == oracle_warnings == short
+
+    def test_grouped_cli_index_equals_the_default(self, tmp_path, monkeypatch, caplog):
+        # the reader's blocks and the window groups both cut small
+        from dnaphash import cli
+
+        seqs, _ = self._parents(7, 3)
+        fasta = tmp_path / "in.fa"
+        fasta.write_text("".join(f">{s.id}\n{s.bases}\n" for s in seqs))
+        files = []
+        for block in (dnaphash.sequence._BLOCK_BYTES, 8, 56):
+            monkeypatch.setattr(dnaphash.sequence, "_BLOCK_BYTES", block)
+            out = tmp_path / f"{block}.dph"
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                assert cli.main(["index", str(fasta), "-o", str(out), "--window", str(self.WINDOW),
+                                 "--step", "3", "--width", "32", "--strategy", "zigzag"]) == 0
+            files.append((out.read_bytes(), [r.getMessage() for r in caplog.records]))
+        assert [m.split("'")[1] for m in files[0][1]] == ["p1", "p4"]
+        assert files[1] == files[0] == files[2]
+
+    def test_a_long_parents_windows_hash_in_bounded_memory(self):
+        # One parent's windows, hashed group by group as the build does: what the
+        # stream holds beside the ids and rows it returns stays the same from 50k
+        # to 200k windows.
+        peaks = []
+        for n in (50_000, 200_000):
+            batch = dnaphash.sequence._batch_of(_random_sequences(1, 64 + n - 1, seed=n))
+            dnaphash.hashing._hash_records(np.zeros(1, np.int64), np.full(1, 64), batch.codes,
+                                           ZIGZAG32)  # the kernel's cached weights
+            kept, held, peak = [], 0, 0
+            tracemalloc.start()
+            try:
+                for group in dnaphash.index._windows([batch], 64, 1):
+                    rows = dnaphash.hashing._hash_records(group.starts, group.lengths,
+                                                          group.codes, ZIGZAG32)
+                    kept.append((group.ids, rows))
+                    held += len(group.ids.data) + group.ids.offsets.nbytes + rows.nbytes
+                    del group, rows
+                    peak = max(peak, tracemalloc.get_traced_memory()[1] - held)
+                    tracemalloc.reset_peak()
+            finally:
+                tracemalloc.stop()
+            assert sum(len(ids) for ids, _ in kept) == n
+            peaks.append(peak)
+        assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 class TestShiftsAreNotSimilarity:

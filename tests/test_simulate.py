@@ -7,7 +7,10 @@ import os
 import numpy as np
 import pytest
 
-from dnaphash import SequenceTooShort, SelectionStrategy, Sequence, compute_hash, hamming
+import dnaphash.sequence
+import dnaphash.simulate
+from dnaphash import (SequenceTooShort, SelectionStrategy, Sequence, compute_hash, hamming,
+                      hash_codes)
 from dnaphash.sequence import matrix_dim
 from dnaphash.simulate import (
     DEFAULT_N_PRIMARY,
@@ -16,6 +19,7 @@ from dnaphash.simulate import (
     DistanceHistogram,
     SimulationConfig,
     _chunk_size,
+    _simulate_chunk,
     generate_sequence,
     mutate_sequence,
     mutation_count,
@@ -336,6 +340,32 @@ class TestRunGroup:
             chunk = _chunk_size(cfg)
             streams = len(rates) + 1
             assert chunk == 1 or chunk * streams * matrix_dim(seq_len) ** 2 <= 6_000_000, seq_len
+
+    @pytest.mark.parametrize("ordinals, calls", [(1, [1] * 17), (3, [3] * 5 + [2]), (None, [17])],
+                             ids=["one", "three", "default"])
+    def test_blocks_of_codes_do_not_change_the_distances(self, monkeypatch, ordinals, calls):
+        # A chunk draws and hashes a reader block of codes at a time: blocks of
+        # one ordinal's codes, of three ordinals' and of the default size give
+        # the distances of the one-sequence-at-a-time API.
+        cfg = preset_config("A", n_primary=20, seed=4, rates=(0.0, 0.05, 0.5, 1.0))
+        streams = len(cfg.divergence_rates) + 1
+        if ordinals is not None:
+            monkeypatch.setattr(dnaphash.sequence, "_BLOCK_BYTES", ordinals * streams * cfg.seq_len)
+        hashed = []
+
+        def spy(codes, strategy):
+            hashed.append(len(codes) // streams)
+            return hash_codes(codes, strategy)
+
+        monkeypatch.setattr(dnaphash.simulate, "hash_codes", spy)
+        got = _simulate_chunk(cfg, 3, 20)
+        assert hashed == calls
+        for row, ordinal in zip(got.tolist(), range(3, 20)):
+            rng = sequence_rng(cfg.seed, ordinal)
+            primary = generate_sequence(cfg.seq_len, rng)
+            want = [0 if rate == 0.0 else hamming(compute_hash(primary, cfg.strategy), compute_hash(
+                mutate_sequence(primary, rate, rng), cfg.strategy)) for rate in cfg.divergence_rates]
+            assert row == want, ordinal
 
     def test_pairs_match_public_replay(self):
         # re-derive sampled ordinals through the one-sequence-at-a-time API

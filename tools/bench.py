@@ -6,12 +6,16 @@ reader or the id checks of an index, as JSON.
 ``kernel``: for each record length of ``KERNEL_LENGTHS`` it times
 ``hash_codes`` of about ``KERNEL_BASES`` random bases as one (rows,
 length) batch, under block-64 (block-16 below 64 bp) and zigzag-32, and
-reports hashes per second. Then it times one-row ``compute_hash`` calls
-on ``PROBES`` random probes of 100 bp (block-64) and 1000 bp
-(zigzag-32), the query probes of the two benchmark workloads: back to
-back (``call_s``), and each after a 0.1 s sleep (``call_after_idle_s``),
-the state a probe runs in right after another process has run. Each row
-carries the CRC-32 of its packed hashes.
+reports hashes per second. It does the same for ``LONG_LEN`` records
+under block-64 (the long-records ``hash`` and ``simulate`` group F), and
+times ``hashing._hash_records`` over the ``WINDOW`` bp windows of one
+random ``RECORD_LEN`` parent at each step of ``STEPS``, under zigzag-32:
+the gathered windows of ``index --window``. Then it times one-row
+``compute_hash`` calls on ``PROBES`` random probes of 100 bp (block-64)
+and 1000 bp (zigzag-32), the query probes of the two benchmark
+workloads: back to back (``call_s``), and each after a 0.1 s sleep
+(``call_after_idle_s``), the state a probe runs in right after another
+process has run. Each row carries the CRC-32 of its packed hashes.
 
 ``scan``: for each row count (20k and 1M) and hash width (32 to 4096 bits)
 it builds an index of random hashes, warms it with one probe, and times
@@ -101,6 +105,7 @@ import numpy as np
 import dnaphash
 from dnaphash import (PerceptualHash, SelectionStrategy, Sequence, cli, compute_hash, hash_codes,
                       index_bytes, load_index)
+from dnaphash.hashing import _hash_records
 from dnaphash.index import _HEADER, HashIndex, _distances, query_topk
 from dnaphash.sequence import _Ids, _stream_fasta
 
@@ -175,17 +180,29 @@ def _name(strategy: SelectionStrategy) -> str:
 
 
 def kernel():
-    """Yield a ``hash_codes`` row per (length, strategy), then a ``compute_hash`` row per probe shape."""
-    for length in KERNEL_LENGTHS:
+    """Yield a ``hash_codes`` row per (length, strategy), a ``_hash_records`` row per window
+    step, then a ``compute_hash`` row per probe shape."""
+    shapes = [(length, strategy) for length in KERNEL_LENGTHS
+              for strategy in (SelectionStrategy("block", 64 if length >= 64 else 16),
+                               SelectionStrategy("zigzag", 32))]
+    for length, strategy in shapes + [(LONG_LEN, SelectionStrategy("block", 64))]:
         codes = _kernel_codes(max(1, KERNEL_BASES // length), length)
-        for strategy in (SelectionStrategy("block", 64 if length >= 64 else 16),
-                         SelectionStrategy("zigzag", 32)):
-            packed = hash_codes(codes, strategy)  # fills the kernel's caches
-            row = {"function": "hash_codes", "length": length, "strategy": _name(strategy),
-                   "rows": len(codes), "crc32": f"{zlib.crc32(packed):08x}"}
-            _time(row, "call", lambda i: hash_codes(codes, strategy))
-            row["hashes_per_second"] = round(len(codes) / row["call_s"])
-            yield row
+        packed = hash_codes(codes, strategy)  # fills the kernel's caches
+        row = {"function": "hash_codes", "length": length, "strategy": _name(strategy),
+               "rows": len(codes), "crc32": f"{zlib.crc32(packed):08x}"}
+        _time(row, "call", lambda i: hash_codes(codes, strategy))
+        row["hashes_per_second"] = round(len(codes) / row["call_s"])
+        yield row
+    strategy, codes = SelectionStrategy("zigzag", 32), _kernel_codes(1, RECORD_LEN)[0]
+    for step in STEPS:  # the windows of one parent
+        starts = np.arange(0, RECORD_LEN - WINDOW + 1, step)
+        lengths = np.full(len(starts), WINDOW)
+        packed = _hash_records(starts, lengths, codes, strategy)
+        row = {"function": "_hash_records", "length": WINDOW, "strategy": _name(strategy),
+               "rows": len(starts), "step": step, "crc32": f"{zlib.crc32(packed):08x}"}
+        _time(row, "call", lambda i: _hash_records(starts, lengths, codes, strategy))
+        row["hashes_per_second"] = round(len(starts) / row["call_s"])
+        yield row
     for length, strategy in PROBE_SHAPES:
         probes = [Sequence(f"q{i}", _BASES[row_codes].tobytes().decode("ascii"))
                   for i, row_codes in enumerate(_kernel_codes(PROBES, length))]
@@ -490,7 +507,8 @@ def ids():
 
 # Each suite, and the constants that size it.
 SUITES = {
-    "kernel": (kernel, ("KERNEL_LENGTHS", "KERNEL_BASES", "PROBES")),
+    "kernel": (kernel, ("KERNEL_LENGTHS", "KERNEL_BASES", "LONG_LEN", "RECORD_LEN", "WINDOW",
+                        "STEPS", "PROBES")),
     "scan": (scan, ("ROWS", "WIDTHS", "PROBES", "TOP_K")),
     "query": (query, ("RECORDS", "RECORD_LEN", "PROBES", "SUBSTITUTIONS", "WINDOW", "STEPS",
                       "TOP_K", "MAX_DIST")),
